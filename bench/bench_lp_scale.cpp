@@ -26,25 +26,40 @@
 //      the boxed dual simplex repairs the primal infeasibility in a
 //      few dozen pivots where a cold solve replays thousands.
 //
+//   4. dense-tail thread scaling: linalg::dense_lu_factor on a fixed-
+//      seed 2048 x 2048 tail at 1..nproc threads, each result checked
+//      bitwise against the 1-thread buffer (the thread-count
+//      invariance the factorization's determinism rests on).
+//
+// Every solve also records the factorization split: the wall time of
+// the dense-tail elimination (SimplexStats::tail_ms, and its dimension
+// tail_dim) against the rest of refactor_ms, the sparse Markowitz
+// phase plus the factor's setup.
+//
 // `--smoke` (or DPMOPT_BENCH_SMOKE=1) shrinks every size so the bench
 // runs in milliseconds under `ctest -L bench`; it also *asserts* that
 // tiny instances keep the dense-block machinery off (block_sweeps must
 // stay 0 below BasisFactorization::kBlockMinBasis — the n*na = 500
-// small-size regression guard).
+// small-size regression guard) and runs the scaling check on a small
+// tail that still crosses the threading gate.
 //
 // `--tail-smoke` runs a single deterministic mid-size instance and
 // prints one machine-parsable line (block telemetry + crash/cold pivot
 // counts) for scripts/verify.sh --perf-smoke to gate on.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "cases/disk_drive.h"
 #include "dpm/crash.h"
 #include "dpm/optimizer.h"
+#include "linalg/dense_block.h"
 #include "lp/solver.h"
 #include "markov/sparse_chain.h"
 
@@ -207,6 +222,72 @@ int run_tail_smoke() {
   return 0;
 }
 
+/// Dense-tail thread scaling: factors one fixed-seed r x r block (15%
+/// nonzeros, the density at which the sparse phase hands over) at
+/// 1..nproc threads, best of `reps` each, and checks every result
+/// bitwise against the 1-thread factorization.  Returns false on any
+/// mismatch.
+bool run_dense_tail_scaling(std::size_t r, int reps,
+                            bench::JsonReport& report) {
+  std::mt19937_64 gen(2048);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::vector<double> a0(r * r, 0.0);
+  for (double& v : a0) {
+    if (u(gen) < -0.7) v = u(gen);
+  }
+  const unsigned max_threads = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<double> ref;
+  std::vector<std::size_t> ref_perm;
+  std::vector<double> ms(max_threads + 1, 0.0);
+  bool ok = true;
+  for (unsigned threads = 1; threads <= max_threads; ++threads) {
+    double best = 0.0;
+    for (int rep = 0; rep < reps; ++rep) {
+      std::vector<double> a = a0;
+      std::vector<std::size_t> perm(r);
+      std::iota(perm.begin(), perm.end(), std::size_t{0});
+      bench::WallTimer t;
+      const std::size_t done =
+          linalg::dense_lu_factor(a.data(), r, perm.data(), 1e-11, threads);
+      const double elapsed = t.elapsed_ms();
+      best = rep == 0 ? elapsed : std::min(best, elapsed);
+      if (done != r) {
+        std::fprintf(stderr, "FAIL: dense-tail scaling block is singular\n");
+        return false;
+      }
+      if (threads == 1 && rep == 0) {
+        ref = std::move(a);
+        ref_perm = std::move(perm);
+      } else if (std::memcmp(a.data(), ref.data(), r * r * sizeof(double)) !=
+                     0 ||
+                 perm != ref_perm) {
+        std::fprintf(stderr,
+                     "FAIL: dense-tail factor at %u threads differs bitwise "
+                     "from 1 thread\n",
+                     threads);
+        ok = false;
+      }
+    }
+    ms[threads] = best;
+  }
+  std::printf("  %-10s", "threads");
+  for (unsigned t = 1; t <= max_threads; ++t) std::printf(" %8u", t);
+  std::printf("\n  %-10s", "wall_ms");
+  for (unsigned t = 1; t <= max_threads; ++t) std::printf(" %8.1f", ms[t]);
+  std::printf("\n  %-10s", "speedup");
+  for (unsigned t = 1; t <= max_threads; ++t) {
+    std::printf(" %7.2fx", ms[1] / std::max(ms[t], 1e-9));
+  }
+  std::printf("\n  %-10s r=%zu, best of %d, bitwise vs 1 thread: %s\n", "", r,
+              reps, ok ? "identical" : "DIFFERENT");
+  for (unsigned t = 1; t <= max_threads; ++t) {
+    report.add("dense_tail_scaling r=" + std::to_string(r) +
+                   " threads=" + std::to_string(t),
+               ms[t], t, ms[1] / std::max(ms[t], 1e-9));
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -287,6 +368,13 @@ int main(int argc, char** argv) {
                 nna, "cold", asm_ms, rev_ms, rev.iterations, scaled_rev,
                 stats.refactorizations, stats.refactor_ms, stats.sweep_ms,
                 stats.update_ms);
+    // Factorization split: dense-tail elimination vs the rest of
+    // refactor_ms (the sparse Markowitz phase plus the factor's setup).
+    std::printf("  %-10s %9s   crash: tail %zu^2 %.1f ms + rest %.1f ms; "
+                "cold: tail %zu^2 %.1f ms + rest %.1f ms\n",
+                "", "factor", crash_stats.tail_dim, crash_stats.tail_ms,
+                crash_stats.refactor_ms - crash_stats.tail_ms, stats.tail_dim,
+                stats.tail_ms, stats.refactor_ms - stats.tail_ms);
     std::printf("  %-10s %9s   seed derive %.1f ms, %zu seeded columns "
                 "survive to optimality, %.2fx fewer pivots, %.2fx wall\n",
                 "", "crash", derive_ms, crash_stats.crash_pivots_saved,
@@ -378,6 +466,12 @@ int main(int argc, char** argv) {
     report.add("refactor n*na=" + std::to_string(nna), stats.refactor_ms,
                stats.refactorizations,
                stats.refactor_ms / std::max(rev_ms, 1e-9));
+    report.add("dense-tail n*na=" + std::to_string(nna), crash_stats.tail_ms,
+               crash_stats.tail_dim,
+               crash_stats.tail_ms / std::max(crash_stats.refactor_ms, 1e-9));
+    report.add("nocrash dense-tail n*na=" + std::to_string(nna), stats.tail_ms,
+               stats.tail_dim,
+               stats.tail_ms / std::max(stats.refactor_ms, 1e-9));
     report.add("sweep n*na=" + std::to_string(nna), stats.sweep_ms,
                rev.iterations, sweep_per_iter);
     report.add("ft-update n*na=" + std::to_string(nna), stats.update_ms,
@@ -493,6 +587,11 @@ int main(int argc, char** argv) {
                sc.iterations, sc.objective * (1.0 - gamma));
   }
 
+  bench::section("dense-tail thread scaling (dense_lu_factor)");
+  if (!run_dense_tail_scaling(smoke ? 384 : 2048, smoke ? 1 : 3, report)) {
+    return 1;
+  }
+
   bench::section("criteria");
   bench::note("crash-seeded solves should match the cold objective exactly "
               "and spend a small fraction of the cold pivot count on these "
@@ -511,6 +610,10 @@ int main(int argc, char** argv) {
               "structured models");
   bench::note("warm-started sweep should spend fewer pivots per point than "
               "cold solves after the first bound");
+  bench::note("dense-tail factorization should be bitwise identical at "
+              "every thread count and speed up with threads on a 2048^2 "
+              "tail; the factor rows split refactor_ms into the dense tail "
+              "and the rest (sparse Markowitz phase and setup)");
   bench::note("bound-tightened warm restart should finish in an order of "
               "magnitude fewer pivots than the cold re-solve, with equal "
               "objectives (the boxed dual phase)");

@@ -18,6 +18,8 @@
 //    changes between refactorizations, so the lower solves run straight
 //    off the retained elimination buffer (column-major, L strictly
 //    below the diagonal).
+//  * `dense_lu_factor` is SparseLu's elimination of that tail: a
+//    blocked, threaded LU that reproduces the unblocked loop's bits.
 //
 // Bitwise contract: an absent entry is stored as exact 0.0 and every
 // kernel skips zeros, so the block applies exactly the term set the
@@ -173,5 +175,41 @@ void tail_upper_solve(const double* tail, std::size_t r, const double* diag,
 /// pos0, rhs in t on entry, solution on exit.
 void tail_upper_transpose_solve(const double* tail, std::size_t r,
                                 const double* diag, double* t) noexcept;
+
+// --- SparseLu dense-tail factorization --------------------------------
+
+/// Panel width of dense_lu_factor: the number of elimination steps
+/// factored together before one blocked update of the trailing columns.
+inline constexpr std::size_t kLuPanel = 64;
+/// dense_lu_factor splits a panel's trailing update across threads only
+/// when at least this many trailing columns remain; smaller updates run
+/// on the calling thread alone.
+inline constexpr std::size_t kLuThreadMinCols = 256;
+
+/// In-place LU of the column-major r x r buffer `a` with row partial
+/// pivoting (strongest in column, first index on ties).  On return L's
+/// multipliers sit strictly below the diagonal (unit diagonal
+/// implicit) and U on and above it; rows are swapped physically and
+/// `perm[0..r)` receives the same swaps.
+///
+/// Blocked right-looking form (the LAPACK getrf shape): each kLuPanel-
+/// wide panel is factored, its swaps are applied to the columns left
+/// and right of it, the unit-lower solve forms its U rows, and the
+/// trailing block takes one register-tiled update.  Every entry still
+/// receives `c -= u * l` for ascending elimination steps, skipping
+/// steps with u == 0 exactly like the unblocked loop, so the result is
+/// bit-for-bit the unblocked elimination's.  The update of the columns
+/// outside a panel is split into one fixed column range per thread
+/// (each entry is written by one thread with the same operation
+/// sequence), so the result does not depend on `threads` either.  Up
+/// to `threads` threads work on a tail large enough (kLuThreadMinCols);
+/// while one call holds its threads, concurrent calls run on their
+/// calling thread alone.
+///
+/// Returns r on success, or the step s at which the strongest
+/// remaining entry of column s was <= pivot_tol (numerically
+/// singular; `a` and `perm` are then partially eliminated).
+std::size_t dense_lu_factor(double* a, std::size_t r, std::size_t* perm,
+                            double pivot_tol, unsigned threads);
 
 }  // namespace dpm::linalg

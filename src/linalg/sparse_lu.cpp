@@ -1,10 +1,12 @@
 #include "linalg/sparse_lu.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <queue>
+#include <thread>
 
 #include "robust/probe.h"
 
@@ -25,6 +27,13 @@ namespace {
 }
 
 constexpr std::size_t kNoPosition = std::numeric_limits<std::size_t>::max();
+
+/// Threads for the dense-tail elimination: every hardware thread (the
+/// kernel itself keeps small tails on the calling thread).
+unsigned lu_threads() {
+  static const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+  return n;
+}
 
 /// Threshold partial pivoting factor: entries within 1/10 of the
 /// column's largest magnitude are numerically acceptable pivots.
@@ -64,6 +73,7 @@ bool SparseLu::factorize(std::size_t n,
   factor_ops_ = 0;
   tail_dim_ = 0;
   tail_nnz_ = 0;
+  tail_ms_ = 0.0;
   tail_retained_ = false;
   lower_gate_.reset();
   ltrans_gate_.reset();
@@ -333,42 +343,24 @@ bool SparseLu::dense_tail(std::size_t pos0, std::vector<SparseColumn>& acols,
     acols[rcol[cs]].shrink_to_fit();
   }
 
-  // Right-looking elimination, row partial pivoting (strongest-in-column
-  // — stricter than the sparse phase's threshold rule; the tail has no
-  // sparsity left to preserve).  Row swaps are physical so the trailing
-  // update stays a contiguous axpy.
-  for (std::size_t s = 0; s < r; ++s) {
-    double* cs = d.data() + s * r;
-    std::size_t pr = s;
-    double best = std::abs(cs[s]);
-    for (std::size_t i = s + 1; i < r; ++i) {
-      const double a = std::abs(cs[i]);
-      if (a > best) {
-        best = a;
-        pr = i;
-      }
-    }
-    if (best <= pivot_tol) return false;  // numerically singular
-    if (pr != s) {
-      for (std::size_t cj = 0; cj < r; ++cj) {
-        std::swap(d[cj * r + s], d[cj * r + pr]);
-      }
-      std::swap(rrow[s], rrow[pr]);
-    }
-    const double inv = 1.0 / cs[s];
-    for (std::size_t i = s + 1; i < r; ++i) cs[i] *= inv;
-    for (std::size_t cj = s + 1; cj < r; ++cj) {
-      double* c = d.data() + cj * r;
-      const double u = c[s];
-      if (u == 0.0) continue;
-      for (std::size_t i = s + 1; i < r; ++i) c[i] -= u * cs[i];
-    }
-  }
+  // Partial-pivoted elimination, strongest in column (stricter than
+  // the sparse phase's threshold rule; the tail has no sparsity left to
+  // preserve), blocked and threaded in dense_block.cpp.  The result is
+  // bit-for-bit the same at any thread count.
+  const auto t_tail = std::chrono::steady_clock::now();
+  const bool ok =
+      dense_lu_factor(d.data(), r, rrow.data(), pivot_tol, lu_threads()) == r;
+  tail_ms_ = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - t_tail)
+                 .count();
+  if (!ok) return false;  // numerically singular
   // Count the tail in the factorization's work estimate at a fraction
   // of its raw flops: the contiguous kernel retires several ops per
   // cycle where the sparse phase's scatter update pays a cache miss per
   // entry, and the estimate feeds the amortized refactorization trigger
   // — overpricing rebuilds would starve the sweeps of fresh factors.
+  // Deliberately not retuned to the blocked kernel's speed: the estimate
+  // places refactorizations, and with them every pivot count.
   factor_ops_ += r * r * r / 10;
 
   // Pivot bookkeeping is identical either way; what differs is where

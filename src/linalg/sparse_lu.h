@@ -207,6 +207,9 @@ class SparseLu {
   /// contiguous kernel (0 when the whole factorization stayed sparse).
   std::size_t tail_dim() const noexcept { return tail_dim_; }
   std::size_t tail_start() const noexcept { return n_ - tail_dim_; }
+  /// Wall time of the last factorization's dense-tail elimination
+  /// (dense_lu_factor), 0 when it had no dense tail.  Telemetry only.
+  double tail_ms() const noexcept { return tail_ms_; }
 
   /// When true (compat/test hook), the dense-tail elimination re-emits
   /// its block into the sparse L/U pair storage as before PR 8, instead
@@ -253,6 +256,7 @@ class SparseLu {
   std::size_t factor_ops_ = 0;
   std::size_t tail_dim_ = 0;
   std::size_t tail_nnz_ = 0;      // off-diagonal nonzeros of a retained tail
+  double tail_ms_ = 0.0;          // dense-tail elimination wall time
   bool emit_tail_sparse_ = false;
   bool tail_retained_ = false;
   Vector tail_;                    // retained elimination buffer (col-major)
@@ -378,6 +382,10 @@ class BasisFactorization {
   std::size_t factor_nonzeros() const noexcept {
     return lu_.factor_nonzeros();
   }
+  /// Dense-tail dimension and elimination wall time of the last
+  /// from-scratch factorization (SparseLu::tail_dim / tail_ms).
+  std::size_t tail_dim() const noexcept { return lu_.tail_dim(); }
+  double tail_ms() const noexcept { return lu_.tail_ms(); }
   /// Current transform size: base L + dynamic U + row etas — the
   /// per-sweep cost metric the adaptive trigger balances.
   std::size_t current_nonzeros() const noexcept {

@@ -256,6 +256,8 @@ class RevisedSimplex {
     if (opt_.stats != nullptr) {
       opt_.stats->refactorizations += 1;
       opt_.stats->refactor_ms += now_ms() - t0;
+      opt_.stats->tail_dim = factor_.tail_dim();
+      opt_.stats->tail_ms += factor_.tail_ms();
       if (ok) opt_.stats->factor_nonzeros = factor_.factor_nonzeros();
     }
     return ok;

@@ -35,10 +35,18 @@ namespace dpm::lp {
 /// Per-solve instrumentation (optional; see RevisedSimplexOptions::stats).
 /// The cost identity benches rely on:
 ///   solve_ms ~= sweep_ms (triangular solves) + update_ms (FT updates)
-///             + refactor_ms (from-scratch LU) + pricing & ratio tests.
+///             + refactor_ms (from-scratch LU) + pricing & ratio tests,
+/// and refactor_ms ~= tail_ms (dense tail) + the sparse Markowitz phase
+/// and setup.
 struct SimplexStats {
   std::size_t refactorizations = 0;  // from-scratch LU factorizations
   double refactor_ms = 0.0;          // wall time inside those
+  // The dense part of refactor_ms: the last factorization's dense-tail
+  // dimension, and the wall time of every dense-tail elimination (the
+  // rest of refactor_ms is the sparse Markowitz phase and the factor's
+  // setup).
+  std::size_t tail_dim = 0;
+  double tail_ms = 0.0;
   std::size_t ft_updates = 0;        // successful Forrest-Tomlin updates
   double update_ms = 0.0;            // wall time inside factor updates
   double sweep_ms = 0.0;             // wall time in ftran/btran sweeps

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -43,6 +44,11 @@ constexpr char kLineTooLongLine[] =
     "\"detail\":\"line too long (exceeds max_line_bytes)\"}}\n";
 
 }  // namespace
+
+bool configure_connection(int fd) {
+  const int on = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof on) == 0;
+}
 
 PolicyServer::PolicyServer(PolicyEngine& engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)) {}
@@ -166,6 +172,7 @@ void PolicyServer::accept_loop() {
     if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    configure_connection(fd);
     std::lock_guard<std::mutex> lock(workers_mutex_);
     if (stopping_.load()) {
       ::close(fd);

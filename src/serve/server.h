@@ -41,6 +41,14 @@ struct ServerOptions {
   std::size_t max_line_bytes = std::size_t{4} << 20;  // 4 MiB
 };
 
+/// Socket set-up for every accepted connection: TCP_NODELAY, so a
+/// response leaves as soon as it is written instead of waiting (Nagle)
+/// for the client to acknowledge the previous one, which a client with
+/// delayed ACKs does only with its next request.  Each response is one
+/// write, so no extra segments go out.  Returns false if setsockopt
+/// fails; the connection is served either way.
+bool configure_connection(int fd);
+
 class PolicyServer {
  public:
   PolicyServer(PolicyEngine& engine, ServerOptions options = {});

@@ -11,8 +11,13 @@
 // the storage walked differs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <numeric>
 #include <random>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "linalg/dense_block.h"
@@ -231,6 +236,216 @@ TEST(DenseBlock, NonzeroAccountingAndHints) {
   Vector v(5, 0.0);
   blk.row_axpy_sub(2, 1.0, v.data());
   EXPECT_EQ(v[4], -3.0);
+}
+
+// --- dense_lu_factor vs the unblocked elimination -------------------
+
+// The unblocked right-looking elimination dense_lu_factor replaces,
+// kept verbatim as the reference: strongest-in-column pivot, full-row
+// physical swaps, scaled multipliers, rank-1 update skipping u == 0.
+// Returns r, or the step whose pivot was <= pivot_tol.
+std::size_t unblocked_lu(Vector& d, std::size_t r, std::vector<std::size_t>& rrow,
+                         double pivot_tol) {
+  for (std::size_t s = 0; s < r; ++s) {
+    double* cs = d.data() + s * r;
+    std::size_t pr = s;
+    double best = std::abs(cs[s]);
+    for (std::size_t i = s + 1; i < r; ++i) {
+      const double a = std::abs(cs[i]);
+      if (a > best) {
+        best = a;
+        pr = i;
+      }
+    }
+    if (best <= pivot_tol) return s;  // numerically singular
+    if (pr != s) {
+      for (std::size_t cj = 0; cj < r; ++cj) {
+        std::swap(d[cj * r + s], d[cj * r + pr]);
+      }
+      std::swap(rrow[s], rrow[pr]);
+    }
+    const double inv = 1.0 / cs[s];
+    for (std::size_t i = s + 1; i < r; ++i) cs[i] *= inv;
+    for (std::size_t cj = s + 1; cj < r; ++cj) {
+      double* c = d.data() + cj * r;
+      const double u = c[s];
+      if (u == 0.0) continue;
+      for (std::size_t i = s + 1; i < r; ++i) c[i] -= u * cs[i];
+    }
+  }
+  return r;
+}
+
+std::vector<std::size_t> identity_perm(std::size_t r) {
+  std::vector<std::size_t> p(r);
+  std::iota(p.begin(), p.end(), std::size_t{0});
+  return p;
+}
+
+// An r x r column-major matrix built to stress the bitwise contract:
+// values from a small set, so pivot candidates tie in magnitude and
+// the elimination cancels to exact zeros (u == 0 skips), and about half
+// the entries are zeros of either sign.
+Vector tricky_matrix(std::size_t r, std::uint32_t seed) {
+  static constexpr double kValues[] = {1.0,  -1.0, 0.5,  -0.5,
+                                       2.0,  -2.0, 0.75, -0.25};
+  std::mt19937 rng(seed);
+  Vector a(r * r);
+  for (double& v : a) {
+    const std::uint32_t x = rng() % 16;
+    v = x < 6 ? 0.0 : x < 8 ? -0.0 : kValues[x - 8];
+  }
+  return a;
+}
+
+// A mostly zero r x r matrix whose factor stays sparse, so most
+// register tiles skip most panel steps and mask most of the rest: a
+// row-shuffled diagonal of +-4 (the pivot rows move) plus about two
+// small entries per column, some of them negative zeros.
+Vector sparse_matrix(std::size_t r, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::size_t> rows = identity_perm(r);
+  std::shuffle(rows.begin(), rows.end(), rng);
+  Vector a(r * r, 0.0);
+  for (std::size_t j = 0; j < r; ++j) {
+    a[j * r + rows[j]] = rng() % 2 == 0 ? 4.0 : -4.0;
+    for (std::size_t i = 0; i < r; ++i) {
+      if (i == rows[j] || rng() % r >= 2) continue;
+      const std::uint32_t x = rng() % 8;
+      a[j * r + i] = x == 0 ? -0.0 : 0.25 * (static_cast<double>(x) - 4.5);
+    }
+  }
+  return a;
+}
+
+testing::AssertionResult same_bits(const Vector& a, const Vector& b) {
+  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0) {
+    return testing::AssertionSuccess();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return testing::AssertionFailure()
+             << "entry " << i << ": blocked=" << a[i] << " unblocked=" << b[i];
+    }
+  }
+  return testing::AssertionFailure() << "size mismatch";
+}
+
+// Sizes on both sides of the panel width (127/128/129) and of the
+// threading gate, with partial last panels.  Unoptimized builds (the
+// debug and tsan presets) run the elimination 10-50x slower, so there
+// the largest size is a 390 block: the smallest shape that still runs
+// two threaded panels with partial tiles and a partial last panel.
+#ifdef NDEBUG
+constexpr std::size_t kLuSizes[] = {96, 127, 128, 129, 517, 1030};
+constexpr std::size_t kThreadedSize = 517;
+constexpr int kConcurrentRounds = 8;
+#else
+constexpr std::size_t kLuSizes[] = {96, 127, 128, 129, 390};
+constexpr std::size_t kThreadedSize = 390;
+constexpr int kConcurrentRounds = 1;
+#endif
+static_assert(kThreadedSize >= kLuPanel + kLuThreadMinCols + kLuPanel,
+              "the threaded size must thread at least two panels");
+
+// 1, 2, 3, 4 and hardware_concurrency() threads, without repeats.
+std::vector<unsigned> lu_thread_counts() {
+  std::vector<unsigned> counts = {1u, 2u, 3u, 4u};
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > 4) counts.push_back(hw);
+  return counts;
+}
+
+// The blocked, threaded kernel reproduces the unblocked loop bit for
+// bit: panel-width edges (127/128/129, and tails that leave a partial
+// last panel), both sides of the threading gate, every thread count.
+TEST(DenseLu, BlockedMatchesUnblockedBitwise) {
+  for (const std::size_t r : kLuSizes) {
+    for (const bool sparse : {false, true}) {
+      const auto seed = static_cast<std::uint32_t>(r);
+      const Vector a = sparse ? sparse_matrix(r, seed) : tricky_matrix(r, seed);
+      Vector ref = a;
+      std::vector<std::size_t> ref_perm = identity_perm(r);
+      ASSERT_EQ(unblocked_lu(ref, r, ref_perm, 1e-11), r) << "r=" << r;
+      std::size_t zero_u = 0, neg_zero = 0, swaps = 0;
+      for (std::size_t j = 0; j < r; ++j) {
+        swaps += ref_perm[j] != j;
+        for (std::size_t i = 0; i < r; ++i) {
+          const double v = ref[j * r + i];
+          zero_u += i < j && v == 0.0;
+          neg_zero += v == 0.0 && std::signbit(v);
+        }
+      }
+      // The input must exercise the u == 0 skip, signed zeros and row
+      // swaps; the sparse family leaves U mostly zero.
+      ASSERT_GT(zero_u, sparse ? r * (r - 1) / 4 : r) << "r=" << r;
+      ASSERT_GT(neg_zero, 0u) << "r=" << r;
+      ASSERT_GT(swaps, 0u) << "r=" << r;
+      for (const unsigned threads : lu_thread_counts()) {
+        Vector got = a;
+        std::vector<std::size_t> perm = identity_perm(r);
+        ASSERT_EQ(dense_lu_factor(got.data(), r, perm.data(), 1e-11, threads),
+                  r)
+            << "r=" << r << " sparse=" << sparse << " threads=" << threads;
+        EXPECT_TRUE(same_bits(got, ref))
+            << "r=" << r << " sparse=" << sparse << " threads=" << threads;
+        EXPECT_EQ(perm, ref_perm)
+            << "r=" << r << " sparse=" << sparse << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// Several factorizations at once: one holds the thread team and the
+// others run on their calling threads, which oversubscribes the CPUs,
+// so team members fall behind, stop spinning and block.  Every caller
+// must still produce the same bits, whichever of them got the team.
+TEST(DenseLu, ConcurrentThreadedFactorizationsMatch) {
+  const std::size_t r = kThreadedSize;
+  const Vector a = tricky_matrix(r, 99);
+  Vector ref = a;
+  std::vector<std::size_t> ref_perm = identity_perm(r);
+  ASSERT_EQ(unblocked_lu(ref, r, ref_perm, 1e-11), r);
+  constexpr int kCallers = 6;
+  for (int round = 0; round < kConcurrentRounds; ++round) {
+    std::vector<Vector> got(kCallers, a);
+    std::vector<std::vector<std::size_t>> perm(kCallers, identity_perm(r));
+    std::vector<std::size_t> done(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        done[c] = dense_lu_factor(got[c].data(), r, perm[c].data(), 1e-11, 4);
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    for (int c = 0; c < kCallers; ++c) {
+      EXPECT_EQ(done[c], r) << "round " << round << " caller " << c;
+      EXPECT_TRUE(same_bits(got[c], ref)) << "round " << round << " caller " << c;
+      EXPECT_EQ(perm[c], ref_perm) << "round " << round << " caller " << c;
+    }
+  }
+}
+
+// A numerically singular block fails at the same elimination step on
+// both paths, whichever panel the step falls in.
+TEST(DenseLu, SingularFailsAtTheSameStep) {
+  for (const std::size_t r : {std::size_t{129}, kThreadedSize}) {
+    Vector a = tricky_matrix(r, 7);
+    // Column r-40 repeats column 30: elimination cancels it exactly.
+    const std::size_t dup = r - 40;
+    std::copy(a.begin() + 30 * r, a.begin() + 31 * r, a.begin() + dup * r);
+    Vector ref = a;
+    std::vector<std::size_t> ref_perm = identity_perm(r);
+    const std::size_t step = unblocked_lu(ref, r, ref_perm, 1e-11);
+    ASSERT_LT(step, r);
+    for (const unsigned threads : lu_thread_counts()) {
+      Vector got = a;
+      std::vector<std::size_t> perm = identity_perm(r);
+      EXPECT_EQ(dense_lu_factor(got.data(), r, perm.data(), 1e-11, threads),
+                step)
+          << "r=" << r << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

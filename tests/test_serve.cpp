@@ -7,11 +7,18 @@
 //     ingredient changes its key, and structurally identical requests
 //     written in different field orders share one;
 //   * the exact-hit tier replays byte-identical responses with zero
-//     additional simplex pivots.
+//     additional simplex pivots;
+//   * every accepted connection gets TCP_NODELAY.
 //
 // The multi-client admission/batching contracts live in
 // test_serve_concurrency.cpp; injected-fault behaviour in
 // test_fault_injection.cpp.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -23,6 +30,7 @@
 #include "serve/engine.h"
 #include "serve/fleet.h"
 #include "serve/protocol.h"
+#include "serve/server.h"
 
 namespace dpm {
 namespace {
@@ -535,6 +543,47 @@ TEST(ServeEngine, StatsAndShutdownAreServed) {
   const std::string bye = engine.handle_line(R"({"id":"q","op":"shutdown"})");
   EXPECT_NE(bye.find("\"status\":\"ok\""), std::string::npos) << bye;
   EXPECT_TRUE(engine.shutdown_requested());
+}
+
+// --- connection set-up ------------------------------------------------
+
+int tcp_nodelay(int fd) {
+  int value = -1;
+  socklen_t len = sizeof value;
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+// The set-up PolicyServer applies right after accept(): a loopback
+// connection accepted through it has Nagle off.
+TEST(ServeServer, AcceptedConnectionsGetTcpNodelay) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+
+  EXPECT_EQ(tcp_nodelay(accepted), 0);  // the kernel default: Nagle on
+  EXPECT_TRUE(serve::configure_connection(accepted));
+  EXPECT_EQ(tcp_nodelay(accepted), 1);
+
+  ::close(accepted);
+  ::close(client);
+  ::close(listener);
 }
 
 }  // namespace
