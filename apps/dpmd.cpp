@@ -3,12 +3,13 @@
 // Server mode (default): bind a TCP port, serve line-delimited JSON
 // optimize / reoptimize / evaluate / stats requests through one
 // PolicyEngine until SIGTERM/SIGINT or a shutdown request, then flush
-// the response cache and exit 0.
+// the response cache and exit 0.  Each connection's thread runs its own
+// requests as they arrive; past --max-inflight concurrent requests the
+// engine sheds with a typed "overloaded" response.
 //
 //   dpmd [--port N] [--bind ADDR] [--cache-dir DIR] [--no-cache]
-//        [--cache-entries N] [--deadline-ms X] [--batch-window-us N]
-//        [--max-inflight N] [--max-connections N] [--max-sessions N]
-//        [--max-line-bytes N]
+//        [--cache-entries N] [--deadline-ms X] [--max-inflight N]
+//        [--max-connections N] [--max-sessions N] [--max-line-bytes N]
 //
 // Client mode: replay a request transcript against a running server and
 // print one response line per request (the serve smoke test's driver).
@@ -48,9 +49,8 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--bind ADDR] [--cache-dir DIR]\n"
                "          [--no-cache] [--cache-entries N] [--deadline-ms X]\n"
-               "          [--batch-window-us N] [--max-inflight N]\n"
-               "          [--max-connections N] [--max-sessions N]\n"
-               "          [--max-line-bytes N]\n"
+               "          [--max-inflight N] [--max-connections N]\n"
+               "          [--max-sessions N] [--max-line-bytes N]\n"
                "       %s --connect HOST:PORT --transcript FILE\n"
                "       %s --print-example-transcript\n",
                argv0, argv0, argv0);
@@ -201,9 +201,6 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(std::atol(next()));
     } else if (arg == "--deadline-ms") {
       engine_options.request_deadline_ms = std::atof(next());
-    } else if (arg == "--batch-window-us") {
-      engine_options.batch_window_us =
-          static_cast<std::size_t>(std::atol(next()));
     } else if (arg == "--connect") {
       connect_endpoint = next();
     } else if (arg == "--transcript") {

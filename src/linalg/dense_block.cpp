@@ -39,20 +39,60 @@ void DenseBlock::reset(std::size_t start, std::size_t dim) {
 
 void DenseBlock::load_upper(const double* lu, std::size_t r,
                             std::size_t start) {
-  reset(start, r);
+  // Every slot of both layouts is written below, so unlike reset() the
+  // buffers are resized without a zero fill.
+  start_ = start;
+  dim_ = r;
+  nnz_ = 0;
+  cm_.resize(r * r);
+  rm_.resize(r * r);
+  col_hi_.assign(r, 0);
+  row_hi_.assign(r, 0);
+  row_lo_.assign(r, r);
+  // Column-major copy of the strict upper triangle; exact zeros (either
+  // sign) are stored as +0.0, as set() would leave them.
   for (std::size_t bj = 0; bj < r; ++bj) {
     const double* src = lu + bj * r;
     double* dst = cm_.data() + bj * r;
+    std::size_t count = 0;
+    std::size_t hi = 0;
     for (std::size_t bi = 0; bi < bj; ++bi) {
       const double v = src[bi];
-      if (v == 0.0) continue;
-      dst[bi] = v;
-      rm_[bj + bi * r] = v;
-      ++nnz_;
-      col_hi_[bj] = bi + 1;
-      if (bj + 1 > row_hi_[bi]) row_hi_[bi] = bj + 1;
-      if (bj < row_lo_[bi]) row_lo_[bi] = bj;
+      const bool nonzero = v != 0.0;
+      dst[bi] = nonzero ? v : 0.0;
+      count += nonzero;
+      hi = nonzero ? bi + 1 : hi;
     }
+    std::fill(dst + bj, dst + r, 0.0);
+    nnz_ += count;
+    col_hi_[bj] = hi;
+  }
+  // Row-major mirror by a cache-blocked transpose; tiles wholly below
+  // the diagonal are zeros.
+  constexpr std::size_t kTile = 32;
+  for (std::size_t i0 = 0; i0 < r; i0 += kTile) {
+    const std::size_t i1 = std::min(r, i0 + kTile);
+    for (std::size_t bi = i0; bi < i1; ++bi) {
+      std::fill(rm_.data() + bi * r, rm_.data() + bi * r + i0, 0.0);
+    }
+    for (std::size_t j0 = i0; j0 < r; j0 += kTile) {
+      const std::size_t j1 = std::min(r, j0 + kTile);
+      for (std::size_t bi = i0; bi < i1; ++bi) {
+        double* dst = rm_.data() + bi * r;
+        for (std::size_t bj = j0; bj < j1; ++bj) dst[bj] = cm_[bi + bj * r];
+      }
+    }
+  }
+  // Row extents: first and one past the last nonzero of each row.
+  for (std::size_t bi = 0; bi < r; ++bi) {
+    const double* row = rm_.data() + bi * r;
+    std::size_t bj = bi + 1;
+    while (bj < r && row[bj] == 0.0) ++bj;
+    if (bj == r) continue;  // empty row: no extent
+    row_lo_[bi] = bj;
+    std::size_t hi = r;
+    while (row[hi - 1] == 0.0) --hi;
+    row_hi_[bi] = hi;
   }
 }
 

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -131,8 +132,19 @@ class DenseBlock {
   std::size_t start_ = 0;
   std::size_t dim_ = 0;
   std::size_t nnz_ = 0;
-  Vector cm_;  // column-major values
-  Vector rm_;  // row-major values
+  // resize() leaves new slots unwritten: load_upper writes every slot
+  // itself, and zero-filling r * r doubles first would cost as much as
+  // the copy.  Explicit values (assign) are stored as usual.
+  struct NoZeroFill : std::allocator<double> {
+    template <class U>
+    struct rebind {
+      using other = NoZeroFill;
+    };
+    void construct(double*) noexcept {}
+    void construct(double* p, double v) noexcept { *p = v; }
+  };
+  std::vector<double, NoZeroFill> cm_;  // column-major values
+  std::vector<double, NoZeroFill> rm_;  // row-major values
   // Nonzero-extent hints: col_hi_[bj] / row_hi_[bi] are one past the
   // last slot that can hold a nonzero in that column / row, and
   // row_lo_[bi] is the first.  Exact after load_upper (triangular:

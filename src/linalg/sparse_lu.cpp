@@ -401,9 +401,9 @@ bool SparseLu::dense_tail(std::size_t pos0, std::vector<SparseColumn>& acols,
   tail_ = std::move(d);
   for (std::size_t s = 0; s < r; ++s) {
     const double* cs = tail_.data() + s * r;
-    for (std::size_t i = 0; i < r; ++i) {
-      if (i != s && cs[i] != 0.0) ++tail_nnz_;
-    }
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < r; ++i) count += cs[i] != 0.0;
+    tail_nnz_ += count - (cs[s] != 0.0);
   }
   return true;
 }

@@ -121,7 +121,6 @@ Scenario make_serve() {
             for (std::size_t d = 0; d < devices; ++d) {
               EngineOptions opts;
               opts.cache = false;
-              opts.batch_window_us = 0;
               PolicyEngine cold(opts);
               const std::string response = cold.handle_line(lines[d]);
               ctx.check(response.find("\"feasible\":true") !=
@@ -133,9 +132,7 @@ Scenario make_serve() {
           }
 
           // Phase B — the serving tiers: one engine, batched waves.
-          EngineOptions opts;
-          opts.batch_window_us = 0;  // batching is explicit here
-          PolicyEngine engine(opts);
+          PolicyEngine engine(EngineOptions{});
           const double t1 = wall_now_ms();
           const std::size_t kWave = 16;
           for (std::size_t start = 0; start < devices; start += kWave) {
@@ -291,7 +288,6 @@ Scenario make_serve() {
           const std::size_t capacity = 6;
           EngineOptions opts;
           opts.max_sessions = 2;
-          opts.batch_window_us = 0;
           PolicyEngine engine(opts);
 
           const auto solve_ok = [&](std::size_t variant, double bound,
@@ -323,7 +319,6 @@ Scenario make_serve() {
                     "evicted structure must re-solve cold");
           EngineOptions fresh_opts;
           fresh_opts.cache = false;
-          fresh_opts.batch_window_us = 0;
           PolicyEngine fresh(fresh_opts);
           const bool identical =
               demoted == fresh.handle_line(demoted_line);

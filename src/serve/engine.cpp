@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <utility>
 
 #include "dpm/crash.h"
@@ -223,11 +222,6 @@ struct PolicyEngine::Parsed {
   bool has_structural = false;
 };
 
-struct PolicyEngine::Slot {
-  std::string line;
-  std::promise<std::string> promise;
-};
-
 PolicyEngine::PolicyEngine(EngineOptions options)
     : options_(std::move(options)) {
   if (options_.cache) {
@@ -318,16 +312,18 @@ std::vector<std::string> PolicyEngine::handle_batch(
 }
 
 std::string PolicyEngine::submit(const std::string& line) {
-  auto slot = std::make_shared<Slot>();
-  slot->line = line;
-  std::future<std::string> response = slot->promise.get_future();
-
-  std::unique_lock<std::mutex> lock(adm_mutex_);
-  if (options_.max_inflight > 0 && adm_inflight_ >= options_.max_inflight) {
+  bool admitted = false;
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    if (options_.max_inflight == 0 || inflight_ < options_.max_inflight) {
+      admitted = true;
+      ++inflight_;
+    }
+  }
+  if (!admitted) {
     // Admission budget exhausted: shed instead of queuing.  The line is
     // never parsed (shedding must stay cheap under a flood), so the id
     // echo is best-effort and the detail names the budget that fired.
-    lock.unlock();
     {
       std::lock_guard<std::mutex> guard(mutex_);
       counters_.sheds += 1;
@@ -342,68 +338,23 @@ std::string PolicyEngine::submit(const std::string& line) {
                        std::to_string(options_.max_inflight) +
                        "); retry later"));
   }
-  ++adm_inflight_;
-  // Every exit from here on must release the admission slot, including
-  // a response.get() that rethrows the leader's set_exception and any
-  // throw while adm_mutex_ is still held (the guard reuses the caller's
-  // unique_lock so it never self-deadlocks).
-  struct InflightGuard {
+  // Every exit from here on releases the admission slot.
+  struct Release {
     PolicyEngine* engine;
-    std::unique_lock<std::mutex>* lock;
-    ~InflightGuard() {
-      if (!lock->owns_lock()) lock->lock();
-      --engine->adm_inflight_;
-      lock->unlock();
+    ~Release() {
+      std::lock_guard<std::mutex> lock(engine->inflight_mutex_);
+      --engine->inflight_;
     }
-  } inflight_guard{this, &lock};
-  adm_pending_.push_back(slot);
-  if (!adm_leader_) {
-    // Become the admission leader: hold the window open so concurrent
-    // submitters coalesce into one batch, then serve it for everyone.
-    adm_leader_ = true;
-    if (options_.batch_window_us > 0) {
-      adm_cv_.wait_for(lock,
-                       std::chrono::microseconds(options_.batch_window_us));
-    }
-    std::vector<std::shared_ptr<Slot>> batch = std::move(adm_pending_);
-    adm_pending_.clear();
-    adm_leader_ = false;
-    lock.unlock();
-
-    // Every slot's promise must be fulfilled no matter what: a follower
-    // blocked in get() on a destroyed-unfulfilled promise would see a
-    // future_error escape its connection thread and terminate the
-    // daemon.
-    std::size_t delivered = 0;
-    try {
-      std::vector<std::string> batch_lines;
-      batch_lines.reserve(batch.size());
-      for (const auto& s : batch) batch_lines.push_back(s->line);
-      std::vector<std::string> batch_responses = handle_batch(batch_lines);
-      for (; delivered < batch.size(); ++delivered) {
-        batch[delivered]->promise.set_value(
-            std::move(batch_responses[delivered]));
-      }
-    } catch (...) {
-      for (std::size_t i = delivered; i < batch.size(); ++i) {
-        try {
-          batch[i]->promise.set_value(compose_response(
-              "", error_body("internal", "batch processing failed")));
-        } catch (...) {
-          // Even the error body failed to build (allocation exhaustion):
-          // hand the exception itself over; serve_connection's catch
-          // around submit() is the final backstop.
-          try {
-            batch[i]->promise.set_exception(std::current_exception());
-          } catch (...) {
-          }
-        }
-      }
-    }
-  } else {
-    lock.unlock();
+  } release{this};
+  try {
+    return handle_line(line);
+  } catch (...) {
+    // handle_line's own error paths failed (e.g. allocation exhaustion).
+    // If even this body cannot be built the exception propagates, and
+    // the server's catch around submit() is the final backstop.
+    return compose_response(
+        "", error_body("internal", "request processing failed"));
   }
-  return response.get();
 }
 
 std::string PolicyEngine::process(Parsed& parsed) {
@@ -807,8 +758,8 @@ void PolicyEngine::note_oversized_line() {
 }
 
 std::size_t PolicyEngine::inflight() const {
-  std::lock_guard<std::mutex> lock(adm_mutex_);
-  return adm_inflight_;
+  std::lock_guard<std::mutex> lock(inflight_mutex_);
+  return inflight_;
 }
 
 bool PolicyEngine::flush_cache() {

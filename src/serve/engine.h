@@ -30,8 +30,6 @@
 // the worker survives to serve the next line.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -56,14 +54,11 @@ struct EngineOptions {
   std::size_t cache_entries = scenario::ResultCache::kDefaultMaxEntries;
   /// Cooperative per-request solve deadline in wall ms; 0 disables.
   double request_deadline_ms = 0.0;
-  /// Admission window: how long a submit() leader waits to coalesce
-  /// concurrent requests into one batch.  0 disables coalescing.
-  std::size_t batch_window_us = 200;
-  /// Admission budget: requests concurrently inside submit() (queued in
-  /// the batch window or executing).  A caller arriving at the cap is
-  /// shed with a typed "overloaded" error response instead of queuing —
-  /// the engine's memory and latency stay bounded under a request
-  /// flood.  0 disables shedding (unbounded).
+  /// Admission budget: requests concurrently inside submit() (waiting
+  /// for the engine lock or executing).  A caller arriving at the cap
+  /// is shed with a typed "overloaded" error response instead of
+  /// queuing — the engine's memory and latency stay bounded under a
+  /// request flood.  0 disables shedding (unbounded).
   std::size_t max_inflight = 64;
   /// LRU bound on live sessions (the near-hit warm-start state: one
   /// built LP + optimal basis per model structure).  Inserting past the
@@ -88,7 +83,7 @@ struct EngineCounters {
   std::uint64_t failures = 0;       ///< solves abandoned (SolveFailure)
   std::uint64_t repair_pivots = 0;  ///< simplex iterations on near hits
   std::uint64_t cold_pivots = 0;    ///< simplex iterations on cold solves
-  std::uint64_t batches = 0;        ///< multi-request admission groups
+  std::uint64_t batches = 0;        ///< multi-line handle_batch() calls
   std::uint64_t sheds = 0;          ///< requests shed by the admission budget
   std::uint64_t conn_sheds = 0;     ///< connections refused at the accept cap
   std::uint64_t session_evictions = 0;  ///< sessions evicted by the LRU bound
@@ -127,9 +122,10 @@ class PolicyEngine {
   /// the group dual-repairs from its basis.
   std::vector<std::string> handle_batch(const std::vector<std::string>& lines);
 
-  /// Thread-safe entry point with admission coalescing: concurrent
-  /// callers inside one batch window are grouped into a single
-  /// handle_batch.  Blocks until this caller's response is ready.
+  /// Thread-safe entry point behind the admission budget: a caller
+  /// over max_inflight is shed with a typed "overloaded" response; an
+  /// admitted one is served by handle_line() on its own thread.  An
+  /// exception escaping the request becomes a typed "internal" error.
   std::string submit(const std::string& line);
 
   /// Folds a server-side event into this engine's counters so `stats`
@@ -140,8 +136,8 @@ class PolicyEngine {
   /// server answered a typed bad-request and closed the connection).
   void note_oversized_line();
 
-  /// Requests currently inside submit() — queued in the admission
-  /// window or executing.  The quantity the max_inflight budget bounds.
+  /// Requests currently inside submit() — waiting for the engine lock
+  /// or executing.  The quantity the max_inflight budget bounds.
   std::size_t inflight() const;
 
   /// Persists the response cache (no-op for in-memory engines).
@@ -178,13 +174,9 @@ class PolicyEngine {
   std::vector<double> latency_samples_;  // bounded reservoir, ms
   bool shutdown_ = false;
 
-  // Admission layer (submit only).
-  struct Slot;
-  mutable std::mutex adm_mutex_;
-  std::condition_variable adm_cv_;
-  std::vector<std::shared_ptr<Slot>> adm_pending_;
-  bool adm_leader_ = false;
-  std::size_t adm_inflight_ = 0;  // submit() callers admitted, not done
+  // Admission budget (submit only).
+  mutable std::mutex inflight_mutex_;
+  std::size_t inflight_ = 0;  // submit() callers admitted, not done
 };
 
 }  // namespace dpm::serve

@@ -23,7 +23,7 @@
 //              unknown-metric, unknown-model, overloaded — shed by an
 //              admission or connection limit; plus "internal" when the
 //              daemon itself could not process the line, e.g. resource
-//              exhaustion mid-batch);
+//              exhaustion);
 //   "failed" — the solve ran but the supervisor could not determine the
 //              model (robust::SolveFailure: reason, rung, detail).
 //
@@ -33,7 +33,7 @@
 //     the constraint metric/sense list.  Requests sharing it differ at
 //     most in rhs data (initial distribution, constraint bounds), so a
 //     basis from one warm-starts another (the boxed dual repairs the
-//     moved rhs) and the batching layer groups by it.
+//     moved rhs) and handle_batch() groups by it.
 //   * the *full* key adds the assembled LP (costs, rhs, bounds — the
 //     constraint point) and the response-shape flags; it fronts the
 //     scenario::ResultCache, so an exact repeat replays the recorded

@@ -228,9 +228,9 @@ void PolicyServer::serve_connection(int fd) {
         response = engine_.submit(line);
       } catch (...) {
         // Last-resort backstop (the engine's own error paths failed,
-        // e.g. allocation exhaustion mid-batch): answer with a static
-        // typed error and drop the connection instead of letting the
-        // exception terminate the daemon.
+        // e.g. allocation exhaustion): answer with a static typed error
+        // and drop the connection instead of letting the exception
+        // terminate the daemon.
         static constexpr char kInternalError[] =
             "{\"id\":\"\",\"status\":\"error\",\"error\":{\"code\":"
             "\"internal\",\"detail\":\"request processing failed\"}}\n";

@@ -2,8 +2,8 @@
 //
 // Plain TCP, one JSON request per line, one JSON response per line
 // (protocol.h).  The server owns only sockets and threads — every
-// request is forwarded to a PolicyEngine, whose admission layer
-// coalesces concurrent connections into batches.  One acceptor thread
+// request is forwarded to PolicyEngine::submit() on the connection's
+// own thread, behind the engine's admission budget.  One acceptor thread
 // polls with a short timeout so stop() (SIGTERM path in apps/dpmd.cpp)
 // is honored promptly; each connection gets a worker thread, reaped by
 // the acceptor when the connection closes and joined on stop, so

@@ -10,7 +10,7 @@
 //     additional simplex pivots;
 //   * every accepted connection gets TCP_NODELAY.
 //
-// The multi-client admission/batching contracts live in
+// The multi-client admission and shedding contracts live in
 // test_serve_concurrency.cpp; injected-fault behaviour in
 // test_fault_injection.cpp.
 #include <arpa/inet.h>

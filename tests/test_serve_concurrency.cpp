@@ -2,13 +2,16 @@
 //   * N client threads against one in-process PolicyServer produce
 //     responses bitwise-equal to per-request cold solves on a fresh
 //     engine — the serving restatement of --jobs invariance;
-//   * the admission layer's batched results equal the unbatched ones,
-//     at any thread count;
+//   * submit() at any thread count and handle_batch() both answer with
+//     the cold-solve bytes;
+//   * the admission budget sheds with a typed response and accounts
+//     for every line;
 //   * engine pivot counters reconcile exactly with the process-wide
 //     lp::pivots_executed() odometer.
 //
 // Sized for the tsan preset: capacity-2 fleet designs solve in tens of
-// pivots, so the whole suite stays fast under instrumentation.
+// pivots, so the whole suite stays fast under instrumentation.  Only the
+// shed tests need slow requests, and they use a handful.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -91,7 +94,7 @@ std::string response_body(const std::string& response) {
   return response.substr(at);
 }
 
-// --- admission batching ----------------------------------------------
+// --- submit() and handle_batch() -------------------------------------
 
 TEST(ServeConcurrency, ThreadedSubmitMatchesColdSolvesBitwise) {
   const std::vector<std::string> lines = fleet_lines();
@@ -166,17 +169,30 @@ TEST(ServeConcurrency, BatchedAndSequentialCountersReconcileWithOdometer) {
 
 // --- admission shedding ----------------------------------------------
 
+// A request that stays inside submit() long enough to observe: the cold
+// solve of an unconstrained capacity-400 design.  Its 3208 columns sit
+// just under the crash-basis threshold, so it pivots from a slack basis
+// — a few hundred ms in release, longer under the sanitizers.
+std::string slow_cold_line(std::size_t variant, const std::string& id) {
+  Request r;
+  r.id = id;
+  r.op = Op::kOptimize;
+  r.model = serve::fleet_model_spec(variant, /*queue_capacity=*/400);
+  r.discount = 0.999;
+  r.objective = "power";
+  return serve::format_request(r);
+}
+
 TEST(ServeConcurrency, SubmitShedsAtInflightCapWithTypedResponse) {
   EngineOptions opts;
   opts.max_inflight = 1;
-  opts.batch_window_us = 300000;  // hold the leader long enough to observe
   PolicyEngine engine(opts);
 
-  const std::string solve = fleet_lines().front();
+  const std::string solve = slow_cold_line(0, "slow");
   std::string admitted;
-  std::thread leader([&] { admitted = engine.submit(solve); });
-  // Wait until the leader holds the only admission slot (it sits in the
-  // batch window), then submit over the budget: a deterministic shed.
+  std::thread holder([&] { admitted = engine.submit(solve); });
+  // Wait until the slow solve holds the only admission slot, then
+  // submit over the budget: a deterministic shed.
   for (int tries = 0; engine.inflight() == 0 && tries < 1000; ++tries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -187,7 +203,7 @@ TEST(ServeConcurrency, SubmitShedsAtInflightCapWithTypedResponse) {
   EXPECT_NE(shed.find("\"id\":\"shed-me\""), std::string::npos) << shed;
   EXPECT_NE(shed.find("max_inflight=1"), std::string::npos) << shed;
 
-  leader.join();
+  holder.join();
   EXPECT_NE(admitted.find("\"status\":\"ok\""), std::string::npos) << admitted;
   const EngineCounters counters = engine.counters();
   EXPECT_EQ(counters.sheds, 1u);
@@ -200,19 +216,18 @@ TEST(ServeConcurrency, SubmitShedsAtInflightCapWithTypedResponse) {
 TEST(ServeConcurrency, SubmitFloodShedsStayAccountableAndWellFormed) {
   EngineOptions opts;
   opts.max_inflight = 2;
-  opts.batch_window_us = 100000;
   PolicyEngine engine(opts);
 
-  const std::vector<std::string> lines = fleet_lines();
   constexpr std::size_t kThreads = 4;
   std::vector<std::string> responses(kThreads);
   std::atomic<std::size_t> ready{0};
   std::vector<std::thread> pool;
   for (std::size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
+      const std::string line = slow_cold_line(t, "f" + std::to_string(t));
       ++ready;
       while (ready.load() < kThreads) std::this_thread::yield();
-      responses[t] = engine.submit(lines[t]);
+      responses[t] = engine.submit(line);
     });
   }
   for (std::thread& th : pool) th.join();
@@ -227,9 +242,9 @@ TEST(ServeConcurrency, SubmitFloodShedsStayAccountableAndWellFormed) {
           << response;
     }
   }
-  // Four simultaneous submitters against a budget of two, with a batch
-  // window holding the leader open: someone must have been shed, and
-  // the counters must account for every line exactly once.
+  // Four simultaneous submitters against a budget of two, each admitted
+  // one held by a slow cold solve: someone must have been shed, and the
+  // counters must account for every line exactly once.
   EXPECT_GE(overloaded, 1u);
   const EngineCounters counters = engine.counters();
   EXPECT_EQ(counters.sheds, overloaded);
