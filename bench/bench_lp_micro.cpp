@@ -46,17 +46,6 @@ void BM_SolveDiskPolicy_Simplex(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveDiskPolicy_Simplex)->Unit(benchmark::kMillisecond);
 
-void BM_SolveDiskPolicy_InteriorPoint(benchmark::State& state) {
-  const SystemModel m = cases::DiskDrive::make_model();
-  OptimizerConfig cfg = cases::DiskDrive::make_config(m, 0.999);
-  cfg.backend = lp::Backend::kInteriorPoint;
-  const PolicyOptimizer opt(m, cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(opt.minimize_power(0.5, 0.05));
-  }
-}
-BENCHMARK(BM_SolveDiskPolicy_InteriorPoint)->Unit(benchmark::kMillisecond);
-
 // Polynomial scaling in the state count: SR memory k doubles the states.
 void BM_SolvePolicy_ScalingInStates(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));

@@ -138,8 +138,8 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
         std::fprintf(stderr,
                      "bench_scenarios: bad fault spec '%s' (want "
                      "SITE[:WINDOW[:COUNT]]; sites: lu-factorize, "
-                     "ft-update, ftran, btran, warm-basis, cholesky, "
-                     "cache-line, deadline)\n",
+                     "ft-update, ftran, btran, warm-basis, cache-line, "
+                     "deadline)\n",
                      v);
         return false;
       }

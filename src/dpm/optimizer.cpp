@@ -52,7 +52,7 @@ lp::LpSolution supervised_solve(const lp::LpProblem& problem,
                                     nullptr) {
   robust::SupervisorOptions opts;
   opts.backend = backend;
-  // Crash seed (revised simplex only; other backends ignore it).  The
+  // Crash seed (revised simplex only; the tableau ignores it).  The
   // supervisor's cold-restart and later rungs drop it themselves.
   opts.lp.crash_columns = crash;
   const robust::SolveSupervisor supervisor(opts);
@@ -260,7 +260,7 @@ std::vector<PolicyOptimizer::ParetoPoint> PolicyOptimizer::sweep(
   curve.reserve(sweep_bounds.size());
 
   if (config_.backend != lp::Backend::kRevisedSimplex) {
-    // Backends without a warm-start contract: cold-solve every point.
+    // The tableau has no warm-start contract: cold-solve every point.
     for (const double bound : sweep_bounds) {
       std::vector<OptimizationConstraint> constraints = fixed_constraints;
       constraints.push_back({swept, bound, swept_name});

@@ -39,6 +39,8 @@ struct OptimizerConfig {
   double discount = 0.99999;
   /// Initial state distribution p0; empty means uniform.
   linalg::Vector initial_distribution;
+  /// kSimplex puts the dense tableau on the supervisor's first rungs: a
+  /// slow, independent reference answer for tests and benches.
   lp::Backend backend = lp::Backend::kRevisedSimplex;
 };
 
@@ -63,9 +65,9 @@ class PolicyOptimizer {
   /// General form: minimize a metric subject to per-step constraints.
   ///
   /// Every solve runs under robust::SolveSupervisor: transient
-  /// numerical trouble (singular refactorization, non-finite values, an
-  /// IPM Cholesky breakdown) is healed by the escalation ladder with a
-  /// bit-identical objective where possible; an outcome the ladder
+  /// numerical trouble (singular refactorization, non-finite values) is
+  /// healed by the escalation ladder with a bit-identical objective
+  /// where possible, and the dense tableau is its last rung; an outcome the ladder
   /// cannot determine surfaces as lp::LpError rather than masquerading
   /// as infeasibility.  See docs/robustness.md.
   OptimizationResult minimize(

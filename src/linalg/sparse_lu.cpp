@@ -17,7 +17,7 @@ namespace {
 /// Injected-fault spike (robust::FaultSite::kFtranSpike /
 /// kBtranSpike): models a detected non-finite solve result.  Thrown
 /// (not silently poisoned) because a NaN that lands in a heuristic
-/// vector — Devex weights, DSE taus — would steer the pivot trajectory
+/// vector — dual steepest-edge weights and taus — would steer the pivot trajectory
 /// without ever failing a correctness check; the typed error makes the
 /// corruption a structured, recoverable failure at the point of
 /// detection.  Only ever runs when an armed fault plan fires.

@@ -46,8 +46,8 @@ class LpProblem {
 
   /// Caps variable `j` at `upper` (>= 0; +inf restores the default).
   /// The revised simplex handles finite bounds natively (nonbasic-at-
-  /// bound states and bound flips — no extra row); the dense tableau and
-  /// interior-point backends solve the `bounds_as_rows` reformulation.
+  /// bound states and bound flips — no extra row); the dense tableau
+  /// solves the `bounds_as_rows` reformulation.
   void set_upper_bound(std::size_t j, double upper);
 
   const linalg::Vector& upper_bounds() const noexcept { return upper_; }
@@ -116,8 +116,8 @@ enum class LpStatus {
   kUnbounded,
   kIterationLimit,
   /// The solver hit a numerical wall it could not pivot through:
-  /// singular refactorization, non-finite values mid-solve, or an IPM
-  /// Cholesky breakdown.  Deliberately distinct from kIterationLimit
+  /// singular refactorization or non-finite values mid-solve.
+  /// Deliberately distinct from kIterationLimit
   /// (which the revised simplex remedies with perturbed retries):
   /// numerical failures are handed to robust::SolveSupervisor, whose
   /// escalation ladder retries the *exact* problem colder instead of a
@@ -148,7 +148,7 @@ struct LpSolution {
   /// Machine-readable failure note, empty on success.  Set alongside the
   /// failure statuses so robust::SolveSupervisor can type the failure
   /// without parsing exception text: "singular-refactorization",
-  /// "nonfinite-values", "cholesky-breakdown", "deadline".
+  /// "nonfinite-values", "deadline".
   const char* note = nullptr;
 };
 

@@ -413,34 +413,12 @@ class RevisedSimplex {
     return worst;
   }
 
-  /// True when the cold slack/artificial basis is already dual feasible:
-  /// its basic columns all cost zero, so y = 0 exactly, and every
-  /// at-lower nonbasic prices at rc_j = c_j >= 0.  The MDP LPs (all
-  /// nonnegative power/latency costs) hit this on every cold solve.
-  bool dual_cold_eligible() const {
-    // Disabled after measurement: on the balance-equation LPs the
-    // phase-1-free dual route runs ~2x the pivots of classic two-phase
-    // (each paying an extra steepest-edge ftran), a 4x wall-time loss
-    // at n*na = 20k.  The boxed dual earns its keep on warm repairs,
-    // where the pivot count is small by construction; cold solves keep
-    // the primal phases.  (It also selects a different vertex on
-    // degenerate optima, which the small case studies are sensitive
-    // to.)  Kept compilable behind this gate for future experiments.
-    constexpr bool kDualColdStart = false;
-    if (!kDualColdStart || m_ < 512) return false;
-    for (std::size_t j = 0; j < n_struct_; ++j) {
-      if (cost2_[j] < 0.0) return false;
-    }
-    return true;
-  }
-
-  /// Phase-1-free cold start support: an explicit zero upper bound
-  /// makes the boxed dual see a basic artificial at positive value as a
-  /// bound violation and drive it out — the feasibility work of phase 1
-  /// done by dual pivots that simultaneously optimize phase 2's cost.
-  /// uncap restores the implicit-cap convention the primal phases use;
-  /// it MUST run before falling back to classic phase 1 (a finite zero
-  /// bound would freeze artificials in the phase-1 ratio test).
+  /// Warm and crash starts: an explicit zero upper bound makes the
+  /// boxed dual see a basic artificial at positive value as a bound
+  /// violation and drive it out.  uncap restores the implicit-cap
+  /// convention the primal phases use; it MUST run before falling back
+  /// to the cold path (a finite zero bound would freeze artificials in
+  /// the phase-1 ratio test).
   void cap_artificials() {
     for (std::size_t j = first_artificial_; j < n_cols_; ++j) {
       upper_[j] = 0.0;
@@ -498,7 +476,6 @@ class RevisedSimplex {
     std::size_t stall = 0;
     bool bland = false;
     double best_obj = std::numeric_limits<double>::infinity();
-    if (devex_pricing()) devex_.assign(n_cols_, 1.0);
     y_stale_ = true;
 
     while (res.iterations < opt_.max_iterations) {
@@ -596,13 +573,12 @@ class RevisedSimplex {
                 : 0;
         xb_[leave] = at_upper_[enter] ? upper_[enter] - theta : theta;
 
-        // One sparse btran of the pivot row serves both the Devex
-        // weight update and the incremental dual update.
+        // One sparse btran of the pivot row drives the incremental
+        // dual update.
         linalg::IndexedVector& rho = rhowork_;
         rho.clear();
         rho.set(leave, 1.0);
         solve_btran(rho);
-        if (devex_pricing() && !bland) update_devex(enter, leave, d, rho);
         const double theta_d = enter_rc / d.values[leave];
         for (const std::size_t k : rho.pattern) {
           y_[k] += theta_d * rho.values[k];
@@ -646,18 +622,17 @@ class RevisedSimplex {
   }
 
   /// Boxed dual simplex from a dual-feasible basis — the warm-restart
-  /// engine after a rhs move or a bound change, and (via the capped
-  /// artificials of the dual-cold path) a phase-1 replacement whenever
-  /// the cold basis already prices dual feasible.  The leaving basic is
-  /// chosen by dual steepest edge (violation^2 / ||B^{-T}e_i||^2, exact
-  /// Forrest–Goldfarb weight recurrence); the dual ratio test runs over
-  /// bounded nonbasics at both bounds; and candidates whose whole bound
-  /// range is absorbed before the violation is covered are bound
-  /// *flipped* instead of pivoted (the long-step rule — the dual step
-  /// passes their reduced-cost breakpoint, so the flip preserves dual
-  /// feasibility).  Stops as soon as the basis is primal feasible;
-  /// returns kOptimal in that case (a phase-2 polish confirms
-  /// optimality).
+  /// engine after a rhs move or a bound change, and the repair step of
+  /// a crash seed that is dual but not primal feasible.  The leaving
+  /// basic is chosen by dual steepest edge (violation^2 /
+  /// ||B^{-T}e_i||^2, exact Forrest–Goldfarb weight recurrence); the
+  /// dual ratio test runs over bounded nonbasics at both bounds; and
+  /// candidates whose whole bound range is absorbed before the
+  /// violation is covered are bound *flipped* instead of pivoted (the
+  /// long-step rule — the dual step passes their reduced-cost
+  /// breakpoint, so the flip preserves dual feasibility).  Stops as
+  /// soon as the basis is primal feasible; returns kOptimal in that
+  /// case (a phase-2 polish confirms optimality).
   ///
   /// Hypersparse inner loop: xb is maintained incrementally (all flips
   /// of an iteration batched into ONE sparse ftran, plus the pivot
@@ -1044,18 +1019,10 @@ class RevisedSimplex {
     return !in_basis_[j] && upper_[j] > 0.0;
   }
 
-  /// Devex reference weights active (full-scan or fused with partial
-  /// sections)?
-  bool devex_pricing() const noexcept {
-    return opt_.pricing == RevisedSimplexOptions::Pricing::kSteepestEdge ||
-           opt_.pricing == RevisedSimplexOptions::Pricing::kPartialDevex;
-  }
-
   /// Entering-column selection.  Returns {kNone, 0} at optimality.
-  /// Bland mode always scans everything by index (anti-cycling); Devex
-  /// scans everything weighted; Dantzig scans everything; partial
-  /// pricing scans rotating sections and returns the best candidate of
-  /// the first section that has one.
+  /// Bland mode scans everything by index (anti-cycling); otherwise
+  /// partial pricing scans rotating sections and returns the most
+  /// negative reduced cost of the first section that has a candidate.
   std::pair<std::size_t, double> price(const linalg::Vector& cost,
                                        const linalg::Vector& y, bool bland) {
     const auto reduced_cost = [&](std::size_t j) {
@@ -1074,24 +1041,18 @@ class RevisedSimplex {
       }
       return {kNone, 0.0};
     }
-    const bool devex = devex_pricing();
-    const bool partial =
-        opt_.pricing == RevisedSimplexOptions::Pricing::kPartial ||
-        opt_.pricing == RevisedSimplexOptions::Pricing::kPartialDevex;
     const std::size_t section =
-        !partial ? first_artificial_
-                 : (opt_.partial_section != 0
-                        ? opt_.partial_section
-                        : std::max<std::size_t>(
-                              256, 4 * static_cast<std::size_t>(std::sqrt(
-                                       static_cast<double>(
-                                           first_artificial_)))));
+        opt_.partial_section != 0
+            ? opt_.partial_section
+            : std::max<std::size_t>(
+                  256, 4 * static_cast<std::size_t>(std::sqrt(
+                               static_cast<double>(first_artificial_))));
 
     std::size_t enter = kNone;
     double enter_rc = 0.0;
     double best_score = 0.0;
     std::size_t scanned = 0;
-    std::size_t j = partial ? price_start_ % first_artificial_ : 0;
+    std::size_t j = price_start_ % first_artificial_;
     while (scanned < first_artificial_) {
       const std::size_t chunk =
           std::min(section, first_artificial_ - scanned);
@@ -1099,8 +1060,7 @@ class RevisedSimplex {
         if (price_eligible(j)) {
           const double rc = reduced_cost(j);
           if (attractive(j, rc)) {
-            double score = std::abs(rc);
-            if (devex) score = rc * rc / devex_[j];
+            const double score = std::abs(rc);
             if (enter == kNone || score > best_score) {
               best_score = score;
               enter = j;
@@ -1111,10 +1071,9 @@ class RevisedSimplex {
         if (++j == first_artificial_) j = 0;
       }
       scanned += chunk;
-      if (partial && enter != kNone) break;
+      if (enter != kNone) break;
     }
-    if (partial) price_start_ = j;
-    section_size_ = section;
+    price_start_ = j;
     return {enter, enter_rc};
   }
 
@@ -1163,44 +1122,6 @@ class RevisedSimplex {
     }
   }
 
-  /// Devex reference-weight update (Forrest–Goldfarb approximation of
-  /// steepest edge): consumes the pivot row `rho` the caller already
-  /// btran'd for the incremental dual update (no extra sweep).  Under
-  /// fused partial pricing the weight propagation is restricted to the
-  /// section the *next* pricing pass will scan first (the rotation
-  /// makes that section known now), so the candidates about to compete
-  /// carry weights reflecting this pivot at the same cost as the scan
-  /// itself.  Columns beyond the next section keep stale (smaller)
-  /// weights, which only makes them look slightly more attractive when
-  /// their turn comes — a bias, not an error.
-  void update_devex(std::size_t enter, std::size_t leave,
-                    const linalg::IndexedVector& d,
-                    const linalg::IndexedVector& rho) {
-    const double dr = d.values[leave];
-    if (std::abs(dr) < 1e-12) return;
-    const double wq = devex_[enter];
-    const bool restrict_scan =
-        opt_.pricing == RevisedSimplexOptions::Pricing::kPartialDevex &&
-        section_size_ < first_artificial_;
-    const std::size_t count =
-        restrict_scan ? section_size_ : first_artificial_;
-    double max_w = 0.0;
-    std::size_t j = restrict_scan ? price_start_ % first_artificial_ : 0;
-    for (std::size_t k = 0; k < count; ++k) {
-      if (!in_basis_[j] && j != enter) {
-        const double alpha = column_dot(j, rho.values);
-        if (alpha != 0.0) {
-          const double cand = (alpha / dr) * (alpha / dr) * wq;
-          if (cand > devex_[j]) devex_[j] = cand;
-          max_w = std::max(max_w, devex_[j]);
-        }
-      }
-      if (++j == first_artificial_) j = 0;
-    }
-    devex_[basis_[leave]] = std::max(wq / (dr * dr), 1.0);
-    if (max_w > 1e8) devex_.assign(n_cols_, 1.0);  // reference reset
-  }
-
   RevisedSimplexOptions opt_;
   std::size_t m_ = 0;
   std::size_t n_struct_ = 0;
@@ -1220,10 +1141,7 @@ class RevisedSimplex {
   std::vector<char> in_basis_;
   std::vector<char> crash_seeded_;  // structural columns a crash seeded
   linalg::Vector xb_;
-  linalg::Vector devex_;
   std::size_t price_start_ = 0;
-  std::size_t section_size_ = 0;  // last pricing section, for the
-                                  // section-local Devex weight update
   // Row-wise mirror of cols_[0..first_artificial_) for the dual ratio
   // test's support-driven alpha accumulation.
   std::vector<linalg::SparseColumn> rows_;
@@ -1421,54 +1339,6 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
     return sol;
   }
   engine.recompute_xb();
-
-  if (need_phase1 && engine.dual_cold_eligible()) {
-    // Dual-cold start: the slack/artificial basis is dual feasible at
-    // y = 0, so the boxed dual simplex (artificials capped at zero)
-    // reaches feasibility *and* optimality in one run of pivots,
-    // skipping primal phase 1 entirely.  Any other outcome — including
-    // a dual infeasibility claim — falls back to the classic two-phase
-    // path, which owns the status certificates.
-    engine.cap_artificials();
-    const auto rd = engine.dual(opt.max_iterations);
-    sol.iterations += rd.iterations;
-    if (rd.status == LpStatus::kNumericalFailure ||
-        rd.status == LpStatus::kDeadline) {
-      // Numerical trouble (or an expired deadline) must surface, not
-      // silently reroute through the two-phase path with a different
-      // pivot trajectory — the supervised retry reproduces this one.
-      sol.status = rd.status;
-      sol.note = rd.note;
-      return sol;
-    }
-    if (rd.status == LpStatus::kOptimal) {
-      engine.drive_out_artificials();
-      const auto rp = engine.primal(engine.phase2_cost(),
-                                    /*artificial_cap=*/true);
-      sol.iterations += rp.iterations;
-      if (rp.status == LpStatus::kNumericalFailure ||
-          rp.status == LpStatus::kDeadline) {
-        sol.status = rp.status;
-        sol.note = rp.note;
-        return sol;
-      }
-      if (rp.status == LpStatus::kOptimal) {
-        const std::size_t iters = sol.iterations;
-        sol = engine.extract(problem);
-        sol.iterations = iters;
-        engine.save_basis(basis_out);
-        return sol;
-      }
-    }
-    engine.uncap_artificials();
-    engine.install_cold_basis();
-    if (!engine.refactorize()) {
-      sol.status = LpStatus::kNumericalFailure;
-      sol.note = "singular-refactorization";
-      return sol;
-    }
-    engine.recompute_xb();
-  }
 
   if (need_phase1) {
     const auto r1 = engine.primal(engine.phase1_cost(),

@@ -3,8 +3,8 @@
 // Operates on the LpProblem's CSC columns directly: each iteration costs
 // two triangular solves against an LU-factorized basis (right-looking
 // Markowitz LU, Forrest–Tomlin-updated between stability- or
-// fill-triggered refactorizations) plus one pricing pass — instead of
-// the dense tableau's O(rows x columns) pivot.  This is the backend of
+// fill-triggered refactorizations) plus one partial-pricing pass —
+// instead of the dense tableau's O(rows x columns) pivot.  This is the backend of
 // choice for the MDP balance-equation LPs, whose columns have only a
 // handful of nonzeros (one outgoing-flow term plus the few reachable
 // successor states).
@@ -119,24 +119,12 @@ struct RevisedSimplexOptions {
   /// cheap bases and keeps sweeps near fresh-factor cost on heavy
   /// ones.
   double refactor_work_ratio = 1.0;
-  enum class Pricing {
-    kDantzig,       // most negative reduced cost, full scan
-    kPartial,       // Dantzig over rotating sections (partial pricing)
-    kPartialDevex,  // Devex weights over rotating sections
-    kSteepestEdge,  // Devex reference weights, full scan
-  };
-  /// Partial pricing default: a full scan touches every column's sparse
-  /// dot product per iteration, which dominates once columns outnumber
-  /// rows; scanning a rotating section finds an entering column of
-  /// almost the same quality at a fraction of the cost.  kPartialDevex
-  /// fuses the two orthogonal ideas: the *section* bounds how many
-  /// columns an iteration prices, the *Devex reference weights* rank
-  /// the candidates within it by estimated edge steepness rather than
-  /// raw reduced cost (weight updates are likewise restricted to the
-  /// scanned section, so their cost stays proportional to the scan).
-  Pricing pricing = Pricing::kPartial;
-  /// Columns per partial-pricing section; 0 picks a size proportional
-  /// to sqrt(#columns) (at least 256).
+  /// Columns per partial-pricing section (Dantzig over rotating
+  /// sections; Bland's rule on stalls); 0 picks a size proportional to
+  /// sqrt(#columns) (at least 256).  A full scan touches every column's
+  /// sparse dot product per iteration, which dominates once columns
+  /// outnumber rows; a section finds an entering column of almost the
+  /// same quality at a fraction of the cost.
   std::size_t partial_section = 0;
   /// Absorb singleton constraint rows (one structural term) into the
   /// variable bound set instead of keeping them as basis rows.

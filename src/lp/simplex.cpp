@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "robust/probe.h"
+
 namespace dpm::lp {
 
 namespace {
@@ -95,8 +97,10 @@ class Tableau {
       const PhaseResult r1 =
           optimize(obj1_, obj1_rhs_, /*block_artificials=*/false);
       sol.iterations += r1.iterations;
-      if (r1.status == LpStatus::kIterationLimit) {
+      if (r1.status == LpStatus::kIterationLimit ||
+          r1.status == LpStatus::kDeadline) {
         sol.status = r1.status;
+        if (r1.status == LpStatus::kDeadline) sol.note = "deadline";
         return sol;
       }
       // Phase-1 optimum is -obj1_rhs_; feasible iff it is ~0.
@@ -111,6 +115,7 @@ class Tableau {
         optimize(obj2_, obj2_rhs_, /*block_artificials=*/true);
     sol.iterations += r2.iterations;
     sol.status = r2.status;
+    if (r2.status == LpStatus::kDeadline) sol.note = "deadline";
     if (r2.status != LpStatus::kOptimal) return sol;
 
     sol.x.assign(n_orig_, 0.0);
@@ -141,7 +146,9 @@ class Tableau {
   // Primal simplex on the current tableau minimizing the objective whose
   // reduced-cost row is `obj` (updated in place; `obj_rhs` carries the
   // negated objective value).  Dantzig pricing until the objective
-  // stalls, then Bland's rule (anti-cycling).
+  // stalls, then Bland's rule (anti-cycling).  The cooperative deadline
+  // (robust::deadline_expired) is polled once per pivot: a large
+  // tableau can run for seconds.
   PhaseResult optimize(linalg::Vector& obj, double& obj_rhs,
                        bool block_artificials) {
     std::size_t iters = 0;
@@ -150,6 +157,9 @@ class Tableau {
     double best = std::numeric_limits<double>::infinity();
 
     while (iters < opt_.max_iterations) {
+      if (robust::deadline_expired()) {
+        return {LpStatus::kDeadline, iters};
+      }
       // --- entering column ---
       std::size_t enter = kNoBasis;
       double most_negative = -opt_.reduced_cost_tol;

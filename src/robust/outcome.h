@@ -30,11 +30,10 @@ enum class FailureReason : std::uint8_t {
   kNonFinite,           ///< NaN/Inf detected mid-solve (data or injection)
   kIterationLimit,      ///< pivot budget exhausted, perturbed retries included
   kDeadlineExpired,     ///< cooperative per-unit wall-clock deadline hit
-  kCholeskyBreakdown,   ///< IPM normal equations hopeless at max shift
   kInvariantViolation,  ///< internal invariant check tripped (verify builds)
   kBadModel,            ///< malformed input; retrying cannot help
 };
-inline constexpr std::size_t kNumFailureReasons = 7;
+inline constexpr std::size_t kNumFailureReasons = 6;
 
 const char* to_string(FailureReason r) noexcept;
 
@@ -50,13 +49,11 @@ enum class RecoveryRung : std::uint8_t {
                        ///< trajectory, so recovered results match the
                        ///< fault-free bytes exactly
   kColdRestart,        ///< drop the warm basis, fresh start from scratch
-  kPerturb,            ///< solve a deterministically perturbed copy,
-                       ///< objective re-evaluated on the original problem
   kNoPresolve,         ///< presolve disabled (isolates presolve bugs)
-  kCrossCheck,         ///< independent backend: dense tableau (small
-                       ///< problems) or interior point
+  kCrossCheck,         ///< independent backend: the dense tableau, up to
+                       ///< kCrossCheckColumnLimit columns
 };
-inline constexpr std::size_t kNumRecoveryRungs = 6;
+inline constexpr std::size_t kNumRecoveryRungs = 5;
 
 const char* to_string(RecoveryRung r) noexcept;
 

@@ -31,9 +31,6 @@ FailureReason reason_from(const lp::LpSolution& sol) noexcept {
         std::strcmp(sol.note, "crash-basis-corrupted") == 0) {
       return FailureReason::kSingularBasis;
     }
-    if (std::strcmp(sol.note, "cholesky-breakdown") == 0) {
-      return FailureReason::kCholeskyBreakdown;
-    }
   }
   return FailureReason::kNonFinite;
 }
@@ -46,7 +43,6 @@ const char* to_string(FailureReason r) noexcept {
     case FailureReason::kNonFinite: return "non-finite";
     case FailureReason::kIterationLimit: return "iteration-limit";
     case FailureReason::kDeadlineExpired: return "deadline-expired";
-    case FailureReason::kCholeskyBreakdown: return "cholesky-breakdown";
     case FailureReason::kInvariantViolation: return "invariant-violation";
     case FailureReason::kBadModel: return "bad-model";
   }
@@ -58,7 +54,6 @@ const char* to_string(RecoveryRung r) noexcept {
     case RecoveryRung::kPlain: return "plain";
     case RecoveryRung::kRetryRefactorize: return "retry-refactorize";
     case RecoveryRung::kColdRestart: return "cold-restart";
-    case RecoveryRung::kPerturb: return "perturb";
     case RecoveryRung::kNoPresolve: return "no-presolve";
     case RecoveryRung::kCrossCheck: return "cross-check";
   }
@@ -158,20 +153,14 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
 
   // The kPlain configuration, reused verbatim by the retry rung.
   const auto plain = [&] {
-    switch (options_.backend) {
-      case lp::Backend::kInteriorPoint:
-        return lp::solve_interior_point(problem);
-      case lp::Backend::kSimplex:
-        return lp::solve_simplex(problem);
-      case lp::Backend::kRevisedSimplex:
-        break;
+    if (options_.backend == lp::Backend::kSimplex) {
+      return lp::solve_simplex(problem);
     }
     return lp::solve_revised_simplex(problem, options_.lp, warm, basis_out);
   };
 
-  // Rung 1: as requested.  A non-default backend that fails lands on
-  // the simplex ladder below — the IPM Cholesky-breakdown -> simplex
-  // fallback path.
+  // Rung 1: as requested.  A tableau failure lands on the revised-
+  // simplex rungs below.
   if (attempt(RecoveryRung::kPlain, plain)) {
     return done();
   }
@@ -201,22 +190,7 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
     return done();
   }
 
-  // Rung 4: perturbed copy (same matrix, nudged rhs) breaks degenerate
-  // wedges; objective re-evaluated on the original problem.
-  if (options_.allow_perturb &&
-      attempt(RecoveryRung::kPerturb, [&] {
-        lp::LpSolution sol = lp::solve_revised_simplex(
-            lp::perturbed_copy(problem, 1e-7), cold_opts(), nullptr,
-            basis_out);
-        if (sol.status == lp::LpStatus::kOptimal) {
-          sol.objective = problem.objective(sol.x);
-        }
-        return sol;
-      })) {
-    return done();
-  }
-
-  // Rung 5: presolve off — isolates presolve/postsolve trouble and
+  // Rung 4: presolve off — isolates presolve/postsolve trouble and
   // changes the pivot trajectory from the first iteration.
   if (attempt(RecoveryRung::kNoPresolve, [&] {
         lp::RevisedSimplexOptions opts = cold_opts();
@@ -226,14 +200,10 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
     return done();
   }
 
-  // Rung 6: an independent backend answers instead.
-  if (options_.allow_cross_check) {
-    attempt(RecoveryRung::kCrossCheck, [&] {
-      if (problem.num_variables() <= options_.cross_check_tableau_limit) {
-        return lp::solve_simplex(problem);
-      }
-      return lp::solve_interior_point(problem);
-    });
+  // Rung 5: the dense tableau answers instead, where it is affordable.
+  if (problem.num_variables() <= kCrossCheckColumnLimit) {
+    attempt(RecoveryRung::kCrossCheck,
+            [&] { return lp::solve_simplex(problem); });
   }
   return done();
 }

@@ -14,15 +14,11 @@
 //   3. kColdRestart       — drop the warm basis; fresh start.  Same
 //                           exact problem, so a recovered solve matches
 //                           the fault-free objective bit-for-bit.
-//   4. kPerturb           — deterministic rhs perturbation breaks
-//                           degenerate wedges; the objective is
-//                           re-evaluated on the original problem.
-//   5. kNoPresolve        — presolve off; isolates presolve/postsolve
+//   4. kNoPresolve        — presolve off; isolates presolve/postsolve
 //                           trouble.
-//   6. kCrossCheck        — an independent backend answers instead: the
-//                           dense tableau below
-//                           `cross_check_tableau_limit` columns, the
-//                           interior point above it.
+//   5. kCrossCheck        — the dense tableau answers instead, up to
+//                           kCrossCheckColumnLimit columns; above that
+//                           the ladder ends at rung 4.
 // kIterationLimit, kNumericalFailure, and converted exceptions escalate;
 // kDeadline and kBadModel stop the ladder immediately (retrying cannot
 // help within the same deadline, and malformed input never heals).
@@ -40,20 +36,18 @@
 
 namespace dpm::robust {
 
+/// Columns at or below which the kCrossCheck rung runs the dense
+/// tableau (O(rows x cols) per pivot).  Above it the rung is not
+/// attempted: a simplex run there would repeat kColdRestart.
+inline constexpr std::size_t kCrossCheckColumnLimit = 4000;
+
 struct SupervisorOptions {
-  /// Base options applied to every simplex rung (presolve is forced off
-  /// on the kNoPresolve rung regardless of this value).
+  /// Base options applied to every revised-simplex rung (presolve is
+  /// forced off on the kNoPresolve rung regardless of this value).
   lp::RevisedSimplexOptions lp;
-  /// Preferred backend for the kPlain rung.  kInteriorPoint and
-  /// kSimplex failures escalate straight onto the simplex ladder — this
-  /// is how an IPM Cholesky breakdown becomes a simplex fallback
-  /// instead of an escaping exception.
+  /// Backend for the kPlain and kRetryRefactorize rungs.  A kSimplex
+  /// failure escalates onto the revised-simplex rungs below.
   lp::Backend backend = lp::Backend::kRevisedSimplex;
-  bool allow_perturb = true;
-  bool allow_cross_check = true;
-  /// Columns at or below which the kCrossCheck rung uses the dense
-  /// tableau (O(rows x cols) per pivot); above it, the interior point.
-  std::size_t cross_check_tableau_limit = 600;
 };
 
 /// Process-wide recovery telemetry, aggregated across every supervised
@@ -74,7 +68,8 @@ class SolveSupervisor {
 
   /// Runs the ladder.  `warm`/`basis_out` follow the
   /// solve_revised_simplex contract; `basis_out` is only filled by
-  /// simplex rungs (a cross-check determination leaves it untouched).
+  /// revised-simplex rungs (a tableau determination leaves it
+  /// untouched).
   /// Never throws on solver trouble; LpError from model validation
   /// surfaces as FailureReason::kBadModel.
   SolveOutcome solve(const lp::LpProblem& problem,

@@ -545,7 +545,11 @@ std::string PolicyEngine::solve_in_session(Session& session,
       session.lp, warm ? &session.basis : nullptr, &basis_out);
   std::uint64_t pivots = outcome_pivots(outcome);
 
-  if (outcome.determined() &&
+  // The supervisor's tableau rung answers without a basis.  Its answer
+  // depends only on the LP already, so it gets no canonical finish (a
+  // re-solve would climb the same failing ladder to the same tableau),
+  // and the session keeps the basis of its last revised-simplex answer.
+  if (outcome.determined() && !basis_out.empty() &&
       outcome.solution.status == lp::LpStatus::kOptimal) {
     // Canonical finish: recompute the solution from a fresh
     // factorization of the optimal basis (a zero-pivot warm re-solve),
@@ -592,7 +596,7 @@ std::string PolicyEngine::solve_in_session(Session& session,
     o.set("model_ref", JsonValue::string(key_to_hex(session.structural)));
     body = o.dump();
   } else {
-    session.basis = std::move(basis_out);
+    if (!basis_out.empty()) session.basis = std::move(basis_out);
     const double one_minus_gamma = 1.0 - session.discount;
     const linalg::Vector& x = outcome.solution.x;
     const std::size_t na = session.model.num_commands();

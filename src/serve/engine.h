@@ -23,6 +23,9 @@
 // then a pure function of (LP, optimal basis), so a warm-started repair
 // and a cold solve that reach the same vertex answer with identical
 // bytes, and a cached replay is indistinguishable from a recompute.
+// An answer from the supervisor's tableau rung has no basis: it is
+// reported as the tableau computed it, and the session keeps its
+// previous basis.
 //
 // All solves run under robust::SolveSupervisor with an optional
 // cooperative per-request deadline: a poisoned or over-budget request

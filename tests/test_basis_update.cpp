@@ -180,32 +180,23 @@ TEST(FtUpdate, AmortizedTriggerFiresUnderSweepLoad) {
 // Degenerate-pivot stress on the revised simplex driving the FT update
 // ---------------------------------------------------------------------
 
-TEST(DegenerateStress, BealeCyclingExampleSolvesUnderEveryPricingRule) {
+TEST(DegenerateStress, BealeCyclingExampleTerminatesAtTheOptimum) {
   // Beale's classic example cycles forever under naive Dantzig pricing
   // with fixed tie-breaking; the stall detection + Bland fallback must
-  // terminate it at the known optimum under every pricing rule.
-  using Pricing = lp::RevisedSimplexOptions::Pricing;
-  for (const Pricing pricing :
-       {Pricing::kDantzig, Pricing::kPartial, Pricing::kPartialDevex,
-        Pricing::kSteepestEdge}) {
-    lp::LpProblem p;
-    p.add_variable(-0.75);
-    p.add_variable(150.0);
-    p.add_variable(-0.02);
-    p.add_variable(6.0);
-    p.add_constraint(
-        {{{0, 0.25}, {1, -60.0}, {2, -0.04}, {3, 9.0}}, lp::Sense::kLe, 0.0});
-    p.add_constraint(
-        {{{0, 0.5}, {1, -90.0}, {2, -0.02}, {3, 3.0}}, lp::Sense::kLe, 0.0});
-    p.add_constraint({{{2, 1.0}}, lp::Sense::kLe, 1.0});
-    lp::RevisedSimplexOptions opt;
-    opt.pricing = pricing;
-    const lp::LpSolution s = lp::solve_revised_simplex(p, opt);
-    ASSERT_EQ(s.status, lp::LpStatus::kOptimal)
-        << "pricing " << static_cast<int>(pricing);
-    EXPECT_NEAR(s.objective, -0.05, 1e-9)
-        << "pricing " << static_cast<int>(pricing);
-  }
+  // terminate it at the known optimum.
+  lp::LpProblem p;
+  p.add_variable(-0.75);
+  p.add_variable(150.0);
+  p.add_variable(-0.02);
+  p.add_variable(6.0);
+  p.add_constraint(
+      {{{0, 0.25}, {1, -60.0}, {2, -0.04}, {3, 9.0}}, lp::Sense::kLe, 0.0});
+  p.add_constraint(
+      {{{0, 0.5}, {1, -90.0}, {2, -0.02}, {3, 3.0}}, lp::Sense::kLe, 0.0});
+  p.add_constraint({{{2, 1.0}}, lp::Sense::kLe, 1.0});
+  const lp::LpSolution s = lp::solve_revised_simplex(p);
+  ASSERT_EQ(s.status, lp::LpStatus::kOptimal);
+  EXPECT_NEAR(s.objective, -0.05, 1e-9);
 }
 
 TEST(DegenerateStress, ConcentratedInitialDistributionPolicyLp) {
@@ -244,19 +235,11 @@ TEST(DegenerateStress, ConcentratedInitialDistributionPolicyLp) {
 
   const lp::LpSolution reference = lp::solve_simplex(p);
   ASSERT_EQ(reference.status, lp::LpStatus::kOptimal);
-  using Pricing = lp::RevisedSimplexOptions::Pricing;
-  for (const Pricing pricing :
-       {Pricing::kDantzig, Pricing::kPartial, Pricing::kPartialDevex}) {
-    lp::RevisedSimplexOptions opt;
-    opt.pricing = pricing;
-    const lp::LpSolution s = lp::solve_revised_simplex(p, opt);
-    ASSERT_EQ(s.status, lp::LpStatus::kOptimal)
-        << "pricing " << static_cast<int>(pricing);
-    EXPECT_NEAR(s.objective, reference.objective,
-                1e-6 * (1.0 + std::abs(reference.objective)))
-        << "pricing " << static_cast<int>(pricing);
-    EXPECT_LT(p.max_violation(s.x), 1e-7);
-  }
+  const lp::LpSolution s = lp::solve_revised_simplex(p);
+  ASSERT_EQ(s.status, lp::LpStatus::kOptimal);
+  EXPECT_NEAR(s.objective, reference.objective,
+              1e-6 * (1.0 + std::abs(reference.objective)));
+  EXPECT_LT(p.max_violation(s.x), 1e-7);
 }
 
 }  // namespace

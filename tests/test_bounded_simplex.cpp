@@ -301,31 +301,6 @@ TEST(BoundedSimplex, BoundsAsRowsKeepsShape) {
   EXPECT_NEAR(rows.constraints()[1].rhs, 2.0, 1e-15);
 }
 
-TEST(BoundedSimplex, InteriorPointSolvesReformulatedBounds) {
-  std::mt19937_64 gen(123);
-  const LpProblem p = random_bounded(gen);
-  const LpSolution ref = solve_revised_simplex(p);
-  ASSERT_EQ(ref.status, LpStatus::kOptimal);
-  const LpSolution ip = solve_interior_point(p);
-  ASSERT_EQ(ip.status, LpStatus::kOptimal);
-  EXPECT_NEAR(ip.objective, ref.objective,
-              kTol * (1.0 + std::abs(ref.objective)));
-}
-
-TEST(InteriorPoint, SizeGuardFallsBackToRevisedSimplex) {
-  // Three columns with a limit of two: the guard must reroute to the
-  // revised simplex and still return the right answer.
-  LpProblem p;
-  for (int j = 0; j < 3; ++j) p.add_variable(1.0);
-  p.add_constraint(
-      {{{0, 1.0}, {1, 1.0}, {2, 1.0}}, Sense::kGe, 1.0, ""});
-  InteriorPointOptions opt;
-  opt.dense_column_limit = 2;
-  const LpSolution s = solve_interior_point(p, opt);
-  ASSERT_EQ(s.status, LpStatus::kOptimal);
-  EXPECT_NEAR(s.objective, 1.0, 1e-8);
-}
-
 TEST(RevisedSimplexStats, CountsRefactorizationsAndIterations) {
   std::mt19937_64 gen(7);
   std::uniform_real_distribution<double> u(0.1, 2.0);

@@ -9,7 +9,9 @@
 //    a typed SolveFailure — never an escaping exception — and recovered
 //    solves match the fault-free objective, vertex, and iteration count
 //    exactly (the kRetryRefactorize rung replays the identical pivot
-//    trajectory once the single-shot fault is consumed);
+//    trajectory once the single-shot fault is consumed); a fault on
+//    every LU factorization ends on the tableau rung with the
+//    tableau's exact answer;
 //  * the scenario result cache's crash-safe flush: atomic rename leaves
 //    no temp file, a stale temp file from a simulated crash is ignored,
 //    and a poisoned line (kCacheLine injection) is dropped on load and
@@ -20,10 +22,12 @@
 //  * the serving tier (src/serve/): a kDeadline fault inside a dpmd
 //    worker degrades to a typed {"status":"failed"} response and the
 //    worker's next answer is byte-identical to an uninjected run; a
+//    request answered by the tableau rung leaves its session warm; a
 //    kCacheLine-poisoned response cache recomputes instead of
 //    replaying garbage.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -38,6 +42,7 @@
 #include "robust/probe.h"
 #include "robust/supervisor.h"
 #include "scenario/cache.h"
+#include "scenario/json.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "serve/engine.h"
@@ -275,47 +280,58 @@ TEST(SupervisorFaultMatrix, CorruptedWarmBasisRecoversBitwise) {
   EXPECT_EQ(out.steps[0].status, lp::LpStatus::kNumericalFailure);
 }
 
-// IPM Cholesky breakdown becomes a simplex-style recovery, not an
-// escaping exception: the retry rung replays the interior point clean
-// (the single-shot fault is consumed) and matches the fault-free IPM
-// answer bitwise.
-TEST(SupervisorFaultMatrix, CholeskyBreakdownRecoversOntoTheLadder) {
-  const lp::LpProblem problem = probe_rich_problem();
-  SupervisorOptions options;
-  options.backend = lp::Backend::kInteriorPoint;
-  const SolveSupervisor supervisor(options);
-  const SolveOutcome clean = supervisor.solve(problem);
-  ASSERT_TRUE(clean.determined());
-
-  FaultPlan plan;
-  plan.site = FaultSite::kCholesky;
-  plan.fire_at = 1;
-  FaultScope scope(plan);
-  const SolveOutcome out = supervisor.solve(problem);
-  ASSERT_TRUE(out.determined());
-  expect_bitwise_equal(out.solution, clean.solution, "cholesky");
-  ASSERT_EQ(scope.fired(), 1u);
-  EXPECT_TRUE(out.recovered());
-  ASSERT_GE(out.steps.size(), 2u);
-  EXPECT_EQ(out.steps[0].status, lp::LpStatus::kNumericalFailure);
-}
-
 // An expired deadline is a hard stop: retrying inside the same deadline
 // cannot help, so the ladder reports a typed failure immediately
 // instead of burning the remaining budget on doomed rungs.
 TEST(SupervisorFaultMatrix, DeadlineExpiryIsATypedHardStop) {
   const lp::LpProblem problem = probe_rich_problem();
-  const SolveSupervisor supervisor;
+  // The tableau polls the deadline once per pivot, like the revised
+  // simplex's pivot loops.
+  for (const lp::Backend backend :
+       {lp::Backend::kRevisedSimplex, lp::Backend::kSimplex}) {
+    SupervisorOptions options;
+    options.backend = backend;
+    const SolveSupervisor supervisor(options);
+    FaultPlan plan;
+    plan.site = FaultSite::kDeadline;
+    plan.fire_at = 1;
+    FaultScope scope(plan);
+    const SolveOutcome out = supervisor.solve(problem);
+    const int b = static_cast<int>(backend);
+    EXPECT_FALSE(out.determined()) << "backend " << b;
+    ASSERT_TRUE(out.failure.has_value()) << "backend " << b;
+    EXPECT_EQ(out.failure->reason, robust::FailureReason::kDeadlineExpired)
+        << "backend " << b;
+    EXPECT_EQ(out.failure->detail, "deadline") << "backend " << b;
+    // No escalation past the hard stop.
+    EXPECT_EQ(out.steps.size(), 1u) << "backend " << b;
+    EXPECT_EQ(out.solution.status, lp::LpStatus::kDeadline) << "backend " << b;
+  }
+}
+
+// A fault that fires on every LU factorization defeats all four
+// revised-simplex rungs; the dense tableau (no LU) is the last rung and
+// answers exactly what it answers unsupervised, handing back no basis.
+TEST(SupervisorFaultMatrix, PersistentLuFaultIsAnsweredByTheTableau) {
+  const lp::LpProblem problem = probe_rich_problem();
+  const lp::LpSolution tableau = lp::solve_simplex(problem);
+  ASSERT_EQ(tableau.status, lp::LpStatus::kOptimal);
+
   FaultPlan plan;
-  plan.site = FaultSite::kDeadline;
+  plan.site = FaultSite::kLuFactorize;
   plan.fire_at = 1;
+  plan.count = 1000000;
   FaultScope scope(plan);
-  const SolveOutcome out = supervisor.solve(problem);
-  EXPECT_FALSE(out.determined());
-  ASSERT_TRUE(out.failure.has_value());
-  EXPECT_EQ(out.failure->reason, robust::FailureReason::kDeadlineExpired);
-  EXPECT_EQ(out.steps.size(), 1u);  // no escalation past the hard stop
-  EXPECT_EQ(out.solution.status, lp::LpStatus::kDeadline);
+  lp::SimplexBasis basis_out;
+  const SolveOutcome out = SolveSupervisor().solve(problem, nullptr, &basis_out);
+  ASSERT_TRUE(out.determined());
+  ASSERT_EQ(out.steps.size(), 5u);
+  for (std::size_t i = 0; i + 1 < out.steps.size(); ++i) {
+    EXPECT_EQ(out.steps[i].status, lp::LpStatus::kNumericalFailure) << i;
+  }
+  EXPECT_EQ(out.steps.back().rung, RecoveryRung::kCrossCheck);
+  expect_bitwise_equal(out.solution, tableau, "lu-factorize");
+  EXPECT_TRUE(basis_out.empty());
 }
 
 // A malformed model is typed kBadModel and never retried — escalation
@@ -573,6 +589,54 @@ TEST(ServeFaults, InjectedDeadlineIsATypedResponseAndTheWorkerSurvives) {
   EXPECT_EQ(engine.handle_line(line), want);
   EXPECT_EQ(engine.counters().failures, 1u);
   EXPECT_EQ(engine.counters().cold_solves, 1u);
+}
+
+// A request the tableau rung answers (every LU factorization faulted)
+// gets no basis back.  Its session keeps the basis of its last
+// revised-simplex answer, so the next request is still a warm near hit,
+// and both answers match an engine that never saw the fault.
+TEST(ServeFaults, TableauAnsweredRequestKeepsTheSessionWarm) {
+  serve::Request r;
+  r.op = serve::Op::kOptimize;
+  r.model = serve::fleet_model_spec(0, /*queue_capacity=*/2);
+  r.discount = 0.999;
+  r.objective = "power";
+  serve::ConstraintSpec queue;
+  queue.metric = "queue_length";
+  r.constraints.push_back(queue);
+  const auto line_at = [&](double bound) {
+    r.constraints[0].bound = bound;
+    return serve::format_request(r);
+  };
+  const auto objective = [](const std::string& response) {
+    const scenario::JsonValue doc = scenario::JsonValue::parse(response);
+    EXPECT_EQ(doc.string_at("status"), "ok") << response;
+    const scenario::JsonValue* v = doc.get("objective_per_step");
+    return v != nullptr ? v->as_number() : 0.0;
+  };
+
+  serve::PolicyEngine clean{serve::EngineOptions{}};
+  serve::PolicyEngine engine{serve::EngineOptions{}};
+  EXPECT_EQ(engine.handle_line(line_at(0.45)), clean.handle_line(line_at(0.45)));
+  {
+    FaultPlan plan;
+    plan.site = FaultSite::kLuFactorize;
+    plan.fire_at = 1;
+    plan.count = 1000000;
+    FaultScope scope(plan);
+    const double got = objective(engine.handle_line(line_at(0.5)));
+    // One firing per revised-simplex rung: the tableau's answer is not
+    // sent up the ladder a second time for a canonical finish.
+    EXPECT_EQ(scope.fired(), 4u);
+    const double want = objective(clean.handle_line(line_at(0.5)));
+    EXPECT_NEAR(got, want, 1e-9 * std::abs(want));
+  }
+  const double got = objective(engine.handle_line(line_at(0.55)));
+  const double want = objective(clean.handle_line(line_at(0.55)));
+  EXPECT_NEAR(got, want, 1e-9 * std::abs(want));
+  EXPECT_EQ(engine.counters().cold_solves, 1u);
+  EXPECT_EQ(engine.counters().near_hits, 2u);
+  EXPECT_EQ(engine.counters().failures, 0u);
 }
 
 // kCacheLine poisons the serialized response store on flush; on the

@@ -117,21 +117,20 @@ TEST(Integration, DiskDriveTraceDrivenStaysClose) {
 }
 
 TEST(Integration, DiskDriveBackendsAgree) {
-  // Regression guard for the 330-variable disk LP: the dense simplex
-  // and the interior-point method must land on the same optimum (they
-  // once disagreed through a tiny-pivot tableau drift and an
-  // over-regularized normal-equation solve respectively).
+  // Regression guard for the 330-variable disk LP: the revised simplex
+  // and the dense tableau must land on the same optimum (the tableau
+  // once drifted through a tiny-pivot elimination).
   const SystemModel m = DiskDrive::make_model();
   OptimizerConfig cfg = DiskDrive::make_config(m, 0.999);
-  const PolicyOptimizer simplex(m, cfg);
-  cfg.backend = lp::Backend::kInteriorPoint;
-  const PolicyOptimizer ipm(m, cfg);
+  const PolicyOptimizer revised(m, cfg);
+  cfg.backend = lp::Backend::kSimplex;
+  const PolicyOptimizer tableau(m, cfg);
   for (const double q : {0.3, 0.6}) {
-    const OptimizationResult a = simplex.minimize_power(q, 0.05);
-    const OptimizationResult b = ipm.minimize_power(q, 0.05);
+    const OptimizationResult a = revised.minimize_power(q, 0.05);
+    const OptimizationResult b = tableau.minimize_power(q, 0.05);
     ASSERT_TRUE(a.feasible);
     ASSERT_TRUE(b.feasible);
-    EXPECT_NEAR(a.objective_per_step, b.objective_per_step, 1e-5);
+    EXPECT_NEAR(a.objective_per_step, b.objective_per_step, 1e-9);
   }
 }
 
