@@ -10,7 +10,10 @@
 #   3. a second replay is served from the response cache: byte-identical
 #      non-stats responses and an exact-hit ratio > 0.5 for the pass;
 #   4. SIGTERM shuts the server down cleanly (exit 0, "shutdown clean",
-#      cache flushed to disk);
+#      cache flushed to disk); a second daemon started on the same
+#      --cache-dir answers a third replay entirely from the loaded cache:
+#      every solve and evaluate line an exact hit, byte-identical to the
+#      first pass;
 #   5. an unresolvable --bind is a usage error (exit 2);
 #   6. overload: a daemon with tiny caps rejects an oversized line with
 #      a typed bad-request, sheds a connection flood past
@@ -109,6 +112,41 @@ grep -q '^dpmd: shutdown clean$' server.out ||
   fail "server did not print the clean-shutdown banner"
 ls cachedir/* >/dev/null 2>&1 ||
   fail "no response cache flushed to cachedir on shutdown"
+
+# 4b. restart on the same cache dir: the on-disk cache round-trips.
+"${dpmd}" --port 0 --cache-dir cachedir > server.out 2>&1 &
+server_pid=$!
+port=""
+for _ in $(seq 1 100); do
+  port="$(sed -n 's/^dpmd: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
+            server.out)"
+  [[ -n "${port}" ]] && break
+  kill -0 "${server_pid}" 2>/dev/null ||
+    fail "restarted server exited before binding"
+  sleep 0.05
+done
+[[ -n "${port}" ]] || fail "no restarted-server banner within 5s"
+"${dpmd}" --connect "127.0.0.1:${port}" --transcript transcript.txt \
+  > pass3.out || fail "replay against the restarted server exited nonzero"
+grep -v '"counters"' pass3.out > pass3.cmp
+cmp -s pass1.cmp pass3.cmp ||
+  fail "restarted-server responses are not byte-identical to the first pass"
+# The transcript's one stats line is its last: the fresh daemon's
+# counters cover exactly the lines before it.
+stats3="$(grep '"counters"' pass3.out | tail -1)"
+hits3="$(grep -o '"exact_hits":[0-9]*' <<<"${stats3}" | cut -d: -f2)"
+[[ "${hits3}" -eq $(( requests - 1 )) ]] ||
+  fail "restarted server: ${hits3} exact hits, want $(( requests - 1 )): ${stats3}"
+for tier in near_hits cold_solves evaluations; do
+  [[ "${stats3}" == *"\"${tier}\":0,"* ]] ||
+    fail "restarted server computed instead of replaying (${tier}): ${stats3}"
+done
+kill -TERM "${server_pid}"
+server_exit=0
+wait "${server_pid}" || server_exit=$?
+server_pid=""
+[[ "${server_exit}" -eq 0 ]] ||
+  fail "restarted server exited ${server_exit} on SIGTERM, want 0"
 
 # --- 5. unresolvable --bind is a usage error (exit 2) -----------------
 bind_exit=0

@@ -122,6 +122,17 @@ double LpProblem::max_violation(const linalg::Vector& x) const {
 
 void LpProblem::hash_into(sim::Fnv1a& h) const {
   h.add_string("LpProblem");
+  hash_rows_into(h, /*with_rhs=*/true);
+}
+
+std::uint64_t LpProblem::matrix_digest() const {
+  sim::Fnv1a h;
+  h.add_string("LpMatrix");
+  hash_rows_into(h, /*with_rhs=*/false);
+  return h.digest();
+}
+
+void LpProblem::hash_rows_into(sim::Fnv1a& h, bool with_rhs) const {
   h.add_size(costs_.size());
   for (const double c : costs_) h.add_double(c);
   // +inf (the default bound) hashes by its bit pattern like any value.
@@ -129,7 +140,7 @@ void LpProblem::hash_into(sim::Fnv1a& h) const {
   h.add_size(constraints_.size());
   for (const Constraint& c : constraints_) {
     h.add_byte(static_cast<unsigned char>(c.sense));
-    h.add_double(c.rhs);
+    if (with_rhs) h.add_double(c.rhs);
     h.add_size(c.terms.size());
     // add_constraint canonicalized terms (sorted unique columns).
     for (const auto& [col, coeff] : c.terms) {

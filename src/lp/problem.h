@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -97,7 +98,16 @@ class LpProblem {
   /// hash equal regardless of how their terms were assembled.
   void hash_into(sim::Fnv1a& h) const;
 
+  /// FNV-1a digest of everything hash_into covers except the rhs: costs,
+  /// upper bounds, and every constraint's sense and terms.  set_rhs()
+  /// never changes it, so a holder of one LP whose rhs moves per use
+  /// (dpmd's sessions) computes it once and hashes only the rhs after.
+  std::uint64_t matrix_digest() const;
+
  private:
+  // Costs, bounds and every row's sense/terms, plus its rhs if asked.
+  void hash_rows_into(sim::Fnv1a& h, bool with_rhs) const;
+
   linalg::Vector costs_;
   linalg::Vector upper_;  // per-variable upper bound, +inf by default
   std::vector<std::string> names_;

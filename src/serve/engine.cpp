@@ -24,6 +24,12 @@ constexpr std::size_t kCrashMinColumns = 4096;
 /// Bounded latency reservoir (stats endpoint only).
 constexpr std::size_t kMaxLatencySamples = 4096;
 
+/// Spec keys indexed per live session.  Specs that compose to one model
+/// (e.g. renamed commands) share a session; past this many the oldest
+/// spec leaves the index and composes again on its next request, so a
+/// client cycling through names cannot grow the index without bound.
+constexpr std::size_t kMaxSpecKeysPerSession = 8;
+
 /// Process-wide aggregate across every engine (relaxed atomics, same
 /// contract as lp::sweep_telemetry).
 struct TelemetryCells {
@@ -116,6 +122,18 @@ std::uint64_t outcome_pivots(const robust::SolveOutcome& outcome) {
   return outcome.steps.empty() ? 0 : outcome.steps.back().iterations;
 }
 
+/// Latency summary of an unsorted sample copy (sorted in place).
+LatencySummary summarize(std::vector<double>& samples) {
+  LatencySummary summary;
+  if (samples.empty()) return summary;
+  std::sort(samples.begin(), samples.end());
+  summary.samples = samples.size();
+  summary.p50_ms = samples[samples.size() / 2];
+  summary.p99_ms = samples[(samples.size() * 99) / 100];
+  summary.max_ms = samples.back();
+  return summary;
+}
+
 /// Validates a wire initial distribution against the model and returns
 /// the effective p0 (uniform when empty).
 linalg::Vector resolve_initial(const SystemModel& model,
@@ -160,10 +178,11 @@ EngineCounters serve_telemetry() noexcept {
 }
 
 /// One registered model structure: the composed model, its LP (rhs
-/// mutated per request), the crash seed, and the last optimal basis the
-/// next near-hit warm-starts from.  Heap-allocated so the metric
-/// closures and the optimizer's model pointer stay valid for the
-/// session's lifetime.
+/// mutated per request) with the digest of everything but that rhs, the
+/// crash seed, the last optimal basis the next near-hit warm-starts
+/// from, and the spec keys the engine's index maps to it.
+/// Heap-allocated so the metric closures and the optimizer's model
+/// pointer stay valid for the session's lifetime.
 struct PolicyEngine::Session {
   SystemModel model;
   double discount = 0.0;
@@ -172,10 +191,12 @@ struct PolicyEngine::Session {
   std::unique_ptr<PolicyOptimizer> optimizer;
   std::vector<OptimizationConstraint> constraints;  // ge senses negated
   lp::LpProblem lp;
+  std::uint64_t matrix_digest = 0;      // lp.matrix_digest(): set_rhs keeps it
   std::vector<std::size_t> crash_cols;  // empty below kCrashMinColumns
   lp::SimplexBasis basis;               // last optimal basis
   std::uint64_t structural = 0;
   std::uint64_t lru = 0;  // engine session_clock_ at last use
+  std::vector<std::uint64_t> spec_keys;  // in spec_index_, oldest first
 
   Session(SystemModel m, const Request& request, std::uint64_t key)
       : model(std::move(m)),
@@ -203,6 +224,7 @@ struct PolicyEngine::Session {
     }
     lp = optimizer->build_lp(metric_by_name(model, objective_name),
                              constraints);
+    matrix_digest = lp.matrix_digest();
     if (model.num_states() * model.num_commands() >= kCrashMinColumns) {
       const std::vector<std::size_t> actions = greedy_crash_actions(
           model.chain().sparse(), metric_by_name(model, objective_name),
@@ -217,9 +239,20 @@ struct PolicyEngine::Parsed {
   Request req;
   std::string error_code;    // non-empty: rejected before processing
   std::string error_detail;
-  std::optional<SystemModel> model;  // composed inline model
-  std::uint64_t structural = 0;      // solve ops only
-  bool has_structural = false;
+  std::optional<SystemModel> model;  // evaluate only: composed inline model
+  // Solve ops only: the spec key of an inline model, else the model_ref's
+  // structural key.
+  std::uint64_t key = 0;
+  bool has_key = false;
+};
+
+/// What a stats response reports, copied under the engine mutex and
+/// rendered after it is released.
+struct PolicyEngine::StatsSnapshot {
+  EngineCounters counters;
+  std::optional<scenario::CacheStats> cache;  // empty without a cache
+  std::size_t sessions = 0;
+  std::vector<double> samples;  // unsorted latency reservoir
 };
 
 PolicyEngine::PolicyEngine(EngineOptions options)
@@ -239,21 +272,22 @@ PolicyEngine::Parsed PolicyEngine::parse_one(const std::string& line) const {
   Parsed p;
   try {
     p.req = parse_request(line);
-    if (p.req.model) p.model = p.req.model->compose();
+    // Solves compose only on a spec-index miss, under the engine mutex
+    // (resolve_session); evaluate has no session to reuse.
+    if (p.req.op == Op::kEvaluate) p.model = p.req.model->compose();
     if (p.req.op == Op::kOptimize || p.req.op == Op::kReoptimize) {
-      if (p.model) {
-        p.structural = structural_request_key(*p.model, p.req.discount,
-                                              p.req.objective,
-                                              p.req.constraints);
+      if (p.req.model) {
+        p.key = spec_request_key(*p.req.model, p.req.discount,
+                                 p.req.objective, p.req.constraints);
       } else {
         const std::optional<std::uint64_t> ref = key_from_hex(p.req.model_ref);
         if (!ref) {
           throw ProtocolError("bad-request",
                               "'model_ref' must be a 16-hex request key");
         }
-        p.structural = *ref;
+        p.key = *ref;
       }
-      p.has_structural = true;
+      p.has_key = true;
     }
   } catch (const ProtocolError& e) {
     p.error_code = e.code();
@@ -276,18 +310,20 @@ std::vector<std::string> PolicyEngine::handle_batch(
   parsed.reserve(lines.size());
   for (const std::string& line : lines) parsed.push_back(parse_one(line));
 
-  // Group solve requests by structural key, preserving first-appearance
-  // order: the group's first request solves cold (or warm from a prior
-  // session), the rest dual-repair from the basis it just installed.
+  // Group solve requests by the key parse_one computed (spec key for an
+  // inline model, structural key for a model_ref), preserving
+  // first-appearance order: the group's first request solves cold (or
+  // warm from a prior session), the rest dual-repair from the basis it
+  // just installed.
   std::vector<std::size_t> order;
   order.reserve(lines.size());
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
   std::vector<std::uint64_t> group_order;
   for (std::size_t i = 0; i < parsed.size(); ++i) {
     const Parsed& p = parsed[i];
-    if (p.error_code.empty() && p.has_structural) {
-      auto [it, inserted] = groups.try_emplace(p.structural);
-      if (inserted) group_order.push_back(p.structural);
+    if (p.error_code.empty() && p.has_key) {
+      auto [it, inserted] = groups.try_emplace(p.key);
+      if (inserted) group_order.push_back(p.key);
       it->second.push_back(i);
     } else {
       order.push_back(i);  // non-solve requests keep arrival order
@@ -357,9 +393,10 @@ std::string PolicyEngine::submit(const std::string& line) {
   }
 }
 
-std::string PolicyEngine::process(Parsed& parsed) {
+std::string PolicyEngine::process(const Parsed& parsed) {
   const double t0 = now_ms();
   std::string body;
+  std::optional<StatsSnapshot> stats;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     EngineCounters before = counters_;
@@ -378,7 +415,7 @@ std::string PolicyEngine::process(Parsed& parsed) {
             body = process_evaluate(parsed);
             break;
           case Op::kStats:
-            body = stats_body();
+            stats = stats_snapshot();
             break;
           case Op::kShutdown: {
             shutdown_ = true;
@@ -419,40 +456,68 @@ std::string PolicyEngine::process(Parsed& parsed) {
       latency_samples_.push_back(elapsed);
     }
   }
+  // Sorting the reservoir and serializing happen off the engine mutex,
+  // so a stats probe never stalls the requests behind it.
+  if (stats) body = stats_body(*stats);
   return body;
 }
 
-PolicyEngine::Session& PolicyEngine::resolve_session(Parsed& parsed) {
-  auto it = sessions_.find(parsed.structural);
+PolicyEngine::Session& PolicyEngine::resolve_session(const Parsed& parsed) {
+  const Request& request = parsed.req;
+  std::uint64_t structural = parsed.key;
+  std::optional<SystemModel> model;
+  if (request.model) {
+    // Spec-index hit: a live session already holds this spec's model.
+    const auto indexed = spec_index_.find(parsed.key);
+    if (indexed != spec_index_.end()) {
+      Session& session = *sessions_.at(indexed->second);
+      session.lru = ++session_clock_;
+      return session;
+    }
+    // Miss: compose and key the composed model, so model_ref and session
+    // sharing are those of the composed model.  This runs under the
+    // engine mutex; a miss is usually the prelude to a cold solve that
+    // holds it far longer.
+    model = request.model->compose();
+    structural = structural_request_key(*model, request.discount,
+                                        request.objective,
+                                        request.constraints);
+  }
+  auto it = sessions_.find(structural);
   if (it != sessions_.end()) {
     it->second->lru = ++session_clock_;
+    if (request.model) index_spec(*it->second, parsed.key);
     return *it->second;
   }
-  if (!parsed.model) {
+  if (!model) {
     throw ProtocolError("unknown-model",
-                        "model_ref " + key_to_hex(parsed.structural) +
+                        "model_ref " + key_to_hex(structural) +
                             " is not registered; send the model inline");
   }
   try {
-    auto session = std::make_unique<Session>(std::move(*parsed.model),
-                                             parsed.req, parsed.structural);
+    auto session =
+        std::make_unique<Session>(std::move(*model), request, structural);
     // LRU bound on the warm-start state: inserting past the cap drops
-    // the stalest structure.  Its next request re-registers and pays a
-    // cold solve — whose canonical finish makes the response bytes
-    // identical to the evicted session's original cold solve, so
-    // eviction is a pure economics (never correctness) event.
+    // the stalest structure and its spec-index entries.  Its next
+    // request re-registers and pays a cold solve — whose canonical
+    // finish makes the response bytes identical to the evicted
+    // session's original cold solve, so eviction is a pure economics
+    // (never correctness) event.
     if (options_.max_sessions > 0 &&
         sessions_.size() >= options_.max_sessions) {
       auto stalest = sessions_.begin();
       for (auto probe = sessions_.begin(); probe != sessions_.end(); ++probe) {
         if (probe->second->lru < stalest->second->lru) stalest = probe;
       }
+      for (const std::uint64_t spec : stalest->second->spec_keys) {
+        spec_index_.erase(spec);
+      }
       sessions_.erase(stalest);
       counters_.session_evictions += 1;
     }
     session->lru = ++session_clock_;
-    auto [slot, inserted] =
-        sessions_.emplace(parsed.structural, std::move(session));
+    auto [slot, inserted] = sessions_.emplace(structural, std::move(session));
+    index_spec(*slot->second, parsed.key);
     return *slot->second;
   } catch (const ProtocolError&) {
     throw;
@@ -463,7 +528,16 @@ PolicyEngine::Session& PolicyEngine::resolve_session(Parsed& parsed) {
   }
 }
 
-std::string PolicyEngine::process_solve(Parsed& parsed) {
+void PolicyEngine::index_spec(Session& session, std::uint64_t spec) {
+  if (session.spec_keys.size() >= kMaxSpecKeysPerSession) {
+    spec_index_.erase(session.spec_keys.front());
+    session.spec_keys.erase(session.spec_keys.begin());
+  }
+  session.spec_keys.push_back(spec);
+  spec_index_.emplace(spec, session.structural);
+}
+
+std::string PolicyEngine::process_solve(const Parsed& parsed) {
   Session& session = resolve_session(parsed);
   const Request& request = parsed.req;
 
@@ -523,7 +597,8 @@ std::string PolicyEngine::solve_in_session(Session& session,
   }
 
   const std::uint64_t key =
-      solve_request_key(session.structural, session.lp, request.want_policy);
+      solve_request_key(session.structural, session.matrix_digest, session.lp,
+                        request.want_policy);
   if (cache_) {
     scenario::UnitOutput cached;
     if (cache_->lookup(key, cached) && !cached.lines.empty()) {
@@ -694,48 +769,55 @@ std::string PolicyEngine::process_evaluate(const Parsed& parsed) {
   return body;
 }
 
-std::string PolicyEngine::stats_body() const {
+PolicyEngine::StatsSnapshot PolicyEngine::stats_snapshot() const {
+  StatsSnapshot snap;
+  snap.counters = counters_;
+  if (cache_) snap.cache = cache_->stats();
+  snap.sessions = sessions_.size();
+  snap.samples = latency_samples_;
+  return snap;
+}
+
+std::string PolicyEngine::stats_body(StatsSnapshot& snap) {
+  const EngineCounters& counts = snap.counters;
   JsonValue c = JsonValue::object();
-  c.set("requests", JsonValue::number(double(counters_.requests)));
-  c.set("exact_hits", JsonValue::number(double(counters_.exact_hits)));
-  c.set("near_hits", JsonValue::number(double(counters_.near_hits)));
-  c.set("cold_solves", JsonValue::number(double(counters_.cold_solves)));
-  c.set("evaluations", JsonValue::number(double(counters_.evaluations)));
-  c.set("rejections", JsonValue::number(double(counters_.rejections)));
-  c.set("failures", JsonValue::number(double(counters_.failures)));
-  c.set("repair_pivots", JsonValue::number(double(counters_.repair_pivots)));
-  c.set("cold_pivots", JsonValue::number(double(counters_.cold_pivots)));
-  c.set("batches", JsonValue::number(double(counters_.batches)));
-  c.set("sheds", JsonValue::number(double(counters_.sheds)));
-  c.set("conn_sheds", JsonValue::number(double(counters_.conn_sheds)));
+  c.set("requests", JsonValue::number(double(counts.requests)));
+  c.set("exact_hits", JsonValue::number(double(counts.exact_hits)));
+  c.set("near_hits", JsonValue::number(double(counts.near_hits)));
+  c.set("cold_solves", JsonValue::number(double(counts.cold_solves)));
+  c.set("evaluations", JsonValue::number(double(counts.evaluations)));
+  c.set("rejections", JsonValue::number(double(counts.rejections)));
+  c.set("failures", JsonValue::number(double(counts.failures)));
+  c.set("repair_pivots", JsonValue::number(double(counts.repair_pivots)));
+  c.set("cold_pivots", JsonValue::number(double(counts.cold_pivots)));
+  c.set("batches", JsonValue::number(double(counts.batches)));
+  c.set("sheds", JsonValue::number(double(counts.sheds)));
+  c.set("conn_sheds", JsonValue::number(double(counts.conn_sheds)));
   c.set("session_evictions",
-        JsonValue::number(double(counters_.session_evictions)));
+        JsonValue::number(double(counts.session_evictions)));
 
   JsonValue cache = JsonValue::object();
-  if (cache_) {
-    const scenario::CacheStats& s = cache_->stats();
+  if (snap.cache) {
+    const scenario::CacheStats& s = *snap.cache;
     cache.set("hits", JsonValue::number(double(s.hits)));
     cache.set("misses", JsonValue::number(double(s.misses)));
     cache.set("rejected", JsonValue::number(double(s.rejected)));
     cache.set("evicted", JsonValue::number(double(s.evicted)));
   }
 
-  std::vector<double> samples = latency_samples_;
-  std::sort(samples.begin(), samples.end());
+  const LatencySummary summary = summarize(snap.samples);
   JsonValue latency = JsonValue::object();
-  if (!samples.empty()) {
-    latency.set("p50_ms",
-                JsonValue::number(samples[samples.size() / 2]));
-    latency.set("p99_ms",
-                JsonValue::number(samples[(samples.size() * 99) / 100]));
-    latency.set("max_ms", JsonValue::number(samples.back()));
+  if (summary.samples > 0) {
+    latency.set("p50_ms", JsonValue::number(summary.p50_ms));
+    latency.set("p99_ms", JsonValue::number(summary.p99_ms));
+    latency.set("max_ms", JsonValue::number(summary.max_ms));
   }
-  latency.set("samples", JsonValue::number(double(samples.size())));
+  latency.set("samples", JsonValue::number(double(summary.samples)));
 
   JsonValue o = JsonValue::object();
   o.set("status", JsonValue::string("ok"));
   o.set("counters", std::move(c));
-  o.set("sessions", JsonValue::number(double(sessions_.size())));
+  o.set("sessions", JsonValue::number(double(snap.sessions)));
   o.set("cache", std::move(cache));
   o.set("latency", std::move(latency));
   return o.dump();
@@ -783,16 +865,12 @@ EngineCounters PolicyEngine::counters() const {
 }
 
 LatencySummary PolicyEngine::latency() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  LatencySummary summary;
-  if (latency_samples_.empty()) return summary;
-  std::vector<double> samples = latency_samples_;
-  std::sort(samples.begin(), samples.end());
-  summary.samples = samples.size();
-  summary.p50_ms = samples[samples.size() / 2];
-  summary.p99_ms = samples[(samples.size() * 99) / 100];
-  summary.max_ms = samples.back();
-  return summary;
+  std::vector<double> samples;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    samples = latency_samples_;
+  }
+  return summarize(samples);
 }
 
 scenario::CacheStats PolicyEngine::cache_stats() const {

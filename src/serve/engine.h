@@ -16,6 +16,12 @@
 //     solve from scratch (policy-iteration crash basis at >= 4096
 //     columns, mirroring PolicyOptimizer), register the session.
 //
+// Neither hit re-derives the model.  An inline model is keyed by its
+// wire spec (protocol.h spec key) and an index maps that key to a live
+// session's structural key; only an index miss composes the model.  The
+// session hashes its LP matrix once, so the solve key of a hit costs
+// O(rhs), not O(model).
+//
 // Determinism of response bytes: every optimal solve is finished
 // *canonically* — after the working solve (warm or cold) lands on an
 // optimal basis, the solution is recomputed from a fresh factorization
@@ -120,9 +126,10 @@ class PolicyEngine {
   std::string handle_line(const std::string& line);
 
   /// Serves a batch: responses index-aligned with `lines`.  Solve
-  /// requests are grouped by structural key, in first-appearance order,
-  /// so one representative per group solves cold/warm and the rest of
-  /// the group dual-repairs from its basis.
+  /// requests are grouped, in first-appearance order, by the key parsing
+  /// computes — the spec key for an inline model, the structural key for
+  /// a model_ref — so one representative per group solves cold/warm and
+  /// the rest of the group dual-repairs from its basis.
   std::vector<std::string> handle_batch(const std::vector<std::string>& lines);
 
   /// Thread-safe entry point behind the admission budget: a caller
@@ -157,20 +164,26 @@ class PolicyEngine {
  private:
   struct Session;
   struct Parsed;
+  struct StatsSnapshot;
 
   Parsed parse_one(const std::string& line) const;
-  std::string process(Parsed& parsed);
-  std::string process_solve(Parsed& parsed);
+  std::string process(const Parsed& parsed);
+  std::string process_solve(const Parsed& parsed);
   std::string process_evaluate(const Parsed& parsed);
-  std::string stats_body() const;
+  StatsSnapshot stats_snapshot() const;  // engine mutex held
+  static std::string stats_body(StatsSnapshot& snap);  // sorts snap.samples
 
-  Session& resolve_session(Parsed& parsed);
+  Session& resolve_session(const Parsed& parsed);
+  void index_spec(Session& session, std::uint64_t spec);
   std::string solve_in_session(Session& session, const Request& request);
 
   EngineOptions options_;
 
   mutable std::mutex mutex_;  // engine state: sessions, cache, counters
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
+  // Spec key -> structural key of a live session; entries leave with
+  // their session.
+  std::unordered_map<std::uint64_t, std::uint64_t> spec_index_;
   std::uint64_t session_clock_ = 0;  // LRU clock for session eviction
   std::unique_ptr<scenario::ResultCache> cache_;
   EngineCounters counters_;

@@ -2,6 +2,7 @@
 
 #include "markov/markov_chain.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -415,15 +416,61 @@ std::uint64_t structural_request_key(
   return h.digest();
 }
 
+std::uint64_t spec_request_key(
+    const ModelSpec& spec, double discount, const std::string& objective,
+    const std::vector<ConstraintSpec>& constraints) {
+  sim::Fnv1a h;
+  // Exact bits, not Fnv1a::add_double's canonical form: -0.0 and +0.0
+  // key apart here, and compose() decides whether they share a model.
+  const auto add_matrix = [&h](const linalg::Matrix& m) {
+    h.add_size(m.rows());
+    h.add_size(m.cols());
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      for (std::size_t j = 0; j < m.cols(); ++j) {
+        h.add_u64(std::bit_cast<std::uint64_t>(m(i, j)));
+      }
+    }
+  };
+  h.add_u64(kProtocolVersion);
+  h.add_string("spec");
+  h.add_size(spec.commands.size());
+  for (const std::string& name : spec.commands) h.add_string(name);
+  add_matrix(spec.power);
+  add_matrix(spec.service_rate);
+  h.add_size(spec.transitions.size());
+  for (const linalg::Matrix& t : spec.transitions) add_matrix(t);
+  add_matrix(spec.requester_transitions);
+  h.add_size(spec.requests_per_state.size());
+  for (const unsigned r : spec.requests_per_state) h.add_u64(r);
+  h.add_size(spec.queue_capacity);
+  h.add_u64(std::bit_cast<std::uint64_t>(discount));
+  h.add_string(objective);
+  h.add_size(constraints.size());
+  for (const ConstraintSpec& c : constraints) {
+    h.add_string(c.metric);
+    h.add_u64(c.lower_bound ? 1 : 0);
+  }
+  return h.digest();
+}
+
 std::uint64_t solve_request_key(std::uint64_t structural_key,
+                                std::uint64_t matrix_digest,
                                 const lp::LpProblem& lp, bool want_policy) {
   sim::Fnv1a h;
   h.add_u64(kProtocolVersion);
   h.add_string("solve");
   h.add_u64(structural_key);
-  lp.hash_into(h);
+  h.add_u64(matrix_digest);
+  h.add_size(lp.num_constraints());
+  for (const lp::Constraint& c : lp.constraints()) h.add_double(c.rhs);
   h.add_u64(want_policy ? 1 : 0);
   return h.digest();
+}
+
+std::uint64_t solve_request_key(std::uint64_t structural_key,
+                                const lp::LpProblem& lp, bool want_policy) {
+  return solve_request_key(structural_key, lp.matrix_digest(), lp,
+                           want_policy);
 }
 
 std::uint64_t evaluate_request_key(const SystemModel& model, double discount,

@@ -28,15 +28,24 @@
 //              model (robust::SolveFailure: reason, rung, detail).
 //
 // Request keys (the serving generalization of Scenario::unit_key):
+//   * the *spec* key hashes the wire ModelSpec (every field compose()
+//     reads, bit for bit), the discount, the objective metric and the
+//     constraint metric/sense list.  It is computed at parse time
+//     without composing the model; the engine maps it to the structural
+//     key of a live session, so an exact or near hit never composes.
+//     handle_batch() groups inline-model solves by it.
 //   * the *structural* key hashes everything that fixes the LP matrix —
 //     the composed SystemModel, the discount, the objective metric and
 //     the constraint metric/sense list.  Requests sharing it differ at
 //     most in rhs data (initial distribution, constraint bounds), so a
 //     basis from one warm-starts another (the boxed dual repairs the
-//     moved rhs) and handle_batch() groups by it.
-//   * the *full* key adds the assembled LP (costs, rhs, bounds — the
-//     constraint point) and the response-shape flags; it fronts the
-//     scenario::ResultCache, so an exact repeat replays the recorded
+//     moved rhs).  It is the wire model_ref, and handle_batch() groups
+//     model_ref solves by it.  Specs that compose to one model (e.g.
+//     that differ only in command names) share it.
+//   * the *solve* key adds the assembled LP — its matrix digest (costs,
+//     bounds, senses, terms: fixed per session, hashed once) and its rhs
+//     (the constraint point) — and the response-shape flags; it fronts
+//     the scenario::ResultCache, so an exact repeat replays the recorded
 //     response bytes with zero simplex pivots.
 #pragma once
 
@@ -155,8 +164,20 @@ std::uint64_t structural_request_key(
     const SystemModel& model, double discount, const std::string& objective,
     const std::vector<ConstraintSpec>& constraints);
 
-/// Full solve key: the structural key plus the assembled LP (costs,
-/// rhs, bounds — the constraint point) and the response-shape flags.
+/// Spec key: H(version, wire model spec, discount, objective name,
+/// constraint metric/sense list).  Doubles enter by exact bit pattern,
+/// so two specs share it only when compose() sees identical inputs:
+/// it never joins what the structural key would split.
+std::uint64_t spec_request_key(
+    const ModelSpec& spec, double discount, const std::string& objective,
+    const std::vector<ConstraintSpec>& constraints);
+
+/// Full solve key: the structural key, the LP's matrix_digest(), every
+/// rhs entry of `lp` (the constraint point) and the response-shape flags.
+std::uint64_t solve_request_key(std::uint64_t structural_key,
+                                std::uint64_t matrix_digest,
+                                const lp::LpProblem& lp, bool want_policy);
+/// Convenience form: computes lp.matrix_digest() itself.
 std::uint64_t solve_request_key(std::uint64_t structural_key,
                                 const lp::LpProblem& lp, bool want_policy);
 

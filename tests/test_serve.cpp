@@ -4,8 +4,11 @@
 //   * malformed requests come back as typed "error" responses with the
 //     stable codes from docs/serving.md, never as crashes;
 //   * request-key properties: any single perturbation of a request
-//     ingredient changes its key, and structurally identical requests
-//     written in different field orders share one;
+//     ingredient changes its spec, structural and solve keys, and
+//     structurally identical requests written in different field orders
+//     share one;
+//   * the spec index never splits a session the composed model shares,
+//     and evicted sessions take their index entries with them;
 //   * the exact-hit tier replays byte-identical responses with zero
 //     additional simplex pivots;
 //   * every accepted connection gets TCP_NODELAY.
@@ -221,9 +224,15 @@ std::uint64_t structural_key_of(const Request& r) {
                                        r.objective, r.constraints);
 }
 
+std::uint64_t spec_key_of(const Request& r) {
+  return serve::spec_request_key(*r.model, r.discount, r.objective,
+                                 r.constraints);
+}
+
 TEST(ServeKeys, EverySinglePerturbationChangesTheStructuralKey) {
   const Request base = rich_optimize();
   const std::uint64_t key = structural_key_of(base);
+  const std::uint64_t spec = spec_key_of(base);
 
   std::vector<std::pair<const char*, Request>> variants;
   const auto add = [&](const char* what, Request r) {
@@ -272,12 +281,25 @@ TEST(ServeKeys, EverySinglePerturbationChangesTheStructuralKey) {
   }
   {
     Request r = base;
+    r.model->transitions[0](1, 0) = 0.11;
+    r.model->transitions[0](1, 1) = 0.89;
+    add("provider transition", r);
+  }
+  {
+    Request r = base;
+    r.model->requests_per_state.back() += 1;
+    add("requests per state", r);
+  }
+  {
+    Request r = base;
     r.model->queue_capacity = 3;
     add("queue capacity", r);
   }
   for (const auto& [what, r] : variants) {
     EXPECT_NE(structural_key_of(r), key) << "perturbing " << what
                                          << " must change the key";
+    EXPECT_NE(spec_key_of(r), spec) << "perturbing " << what
+                                    << " must change the spec key";
   }
   // ...while a pure rhs move (bound, initial distribution) must NOT:
   // that is exactly the data a warm basis survives.
@@ -286,6 +308,16 @@ TEST(ServeKeys, EverySinglePerturbationChangesTheStructuralKey) {
   moved.initial.assign(moved.initial.size(), 0.0);
   moved.initial[0] = 1.0;
   EXPECT_EQ(structural_key_of(moved), key);
+  EXPECT_EQ(spec_key_of(moved), spec);
+}
+
+// Copy of `lp` through the public builder from the given costs and rows.
+lp::LpProblem rebuilt(const linalg::Vector& costs,
+                      const std::vector<lp::Constraint>& rows) {
+  lp::LpProblem out;
+  for (const double c : costs) out.add_variable(c);
+  for (const lp::Constraint& row : rows) out.add_constraint(row);
+  return out;
 }
 
 TEST(ServeKeys, SolveKeySeparatesBoundsAndResponseShape) {
@@ -308,6 +340,34 @@ TEST(ServeKeys, SolveKeySeparatesBoundsAndResponseShape) {
   lp::LpProblem moved = lp;
   moved.set_rhs(0, lp.constraints()[0].rhs + 0.125);
   EXPECT_NE(serve::solve_request_key(structural, moved, false), full);
+
+  // The digest form a session uses is the convenience form's value.
+  EXPECT_EQ(serve::solve_request_key(structural, lp.matrix_digest(), lp,
+                                     false),
+            full);
+  EXPECT_EQ(serve::solve_request_key(structural, moved.matrix_digest(), moved,
+                                     true),
+            serve::solve_request_key(structural, moved, true));
+  EXPECT_EQ(moved.matrix_digest(), lp.matrix_digest());  // rhs excluded
+
+  // Everything but the rhs enters through the digest: one cost, one
+  // matrix coefficient or one upper bound moves the key.
+  ASSERT_EQ(serve::solve_request_key(
+                structural, rebuilt(lp.costs(), lp.constraints()), false),
+            full);  // the rebuild itself is faithful
+  linalg::Vector costs = lp.costs();
+  costs[1] += 0.125;
+  EXPECT_NE(serve::solve_request_key(structural,
+                                     rebuilt(costs, lp.constraints()), false),
+            full);
+  std::vector<lp::Constraint> rows = lp.constraints();
+  rows[0].terms[0].second += 0.125;
+  EXPECT_NE(serve::solve_request_key(structural, rebuilt(lp.costs(), rows),
+                                     false),
+            full);
+  lp::LpProblem capped = lp;
+  capped.set_upper_bound(0, 5.0);
+  EXPECT_NE(serve::solve_request_key(structural, capped, false), full);
 }
 
 TEST(ServeKeys, EvaluateKeyCoversPolicyAndMetricList) {
@@ -482,6 +542,61 @@ TEST(ServeEngine, EvictedSessionRecomputesByteIdenticalColdSolve) {
   EXPECT_EQ(engine.counters().exact_hits, 1u);
   PolicyEngine fresh2(fresh_opts);
   EXPECT_EQ(replay, fresh2.handle_line(a_line));
+}
+
+TEST(ServeEngine, SpecIndexFollowsSessionsAndNeverSplitsThem) {
+  EngineOptions opts;
+  opts.max_sessions = 1;
+  PolicyEngine engine(opts);
+  EngineOptions fresh_opts;
+  fresh_opts.cache = false;
+
+  const auto request = [](std::size_t variant, double bound) {
+    Request r = rich_optimize();
+    r.model = serve::fleet_model_spec(variant, 2);
+    r.constraints[0].bound = bound;
+    return r;
+  };
+  const std::string a_line = serve::format_request(request(0, 0.45));
+  const std::string b_line = serve::format_request(request(1, 0.45));
+  const std::string a_moved_line = serve::format_request(request(0, 0.55));
+
+  // A, B, A at a moved bound: each insert evicts the other session and
+  // its spec-index entries, so the third request is cold, never a stale
+  // index hit, and every body is the one a fresh engine computes.
+  for (const std::string& line : {a_line, b_line, a_moved_line}) {
+    PolicyEngine fresh(fresh_opts);
+    EXPECT_EQ(engine.handle_line(line), fresh.handle_line(line));
+  }
+  EXPECT_EQ(engine.counters().cold_solves, 3u);
+  EXPECT_EQ(engine.counters().near_hits, 0u);
+  EXPECT_EQ(engine.counters().session_evictions, 2u);
+  const std::string a_ref =
+      JsonValue::parse(engine.handle_line(a_line)).string_at("model_ref");
+  EXPECT_EQ(engine.counters().exact_hits, 1u);
+
+  // Renamed commands change the spec key but not the composed model:
+  // the renamed spec must join A's session (an exact hit on A's cached
+  // answer, then a near hit), never open a second one.  More renames
+  // than one session indexes still all land on that session.
+  for (std::size_t k = 0; k < 12; ++k) {
+    Request renamed = request(0, 0.45);
+    renamed.model->commands = {"wake" + std::to_string(k), "sleep"};
+    const std::string hit = engine.handle_line(serve::format_request(renamed));
+    EXPECT_EQ(JsonValue::parse(hit).string_at("model_ref"), a_ref) << hit;
+    EXPECT_EQ(engine.counters().exact_hits, 2u + k);
+  }
+  Request renamed_moved = request(0, 0.50);
+  renamed_moved.model->commands = {"up", "down"};
+  const std::string warm =
+      engine.handle_line(serve::format_request(renamed_moved));
+  PolicyEngine fresh(fresh_opts);
+  EXPECT_EQ(warm, fresh.handle_line(serve::format_request(renamed_moved)));
+  const EngineCounters counters = engine.counters();
+  EXPECT_EQ(counters.near_hits, 1u);
+  EXPECT_EQ(counters.cold_solves, 3u);
+  EXPECT_EQ(counters.session_evictions, 2u);
+  EXPECT_EQ(engine.num_sessions(), 1u);
 }
 
 TEST(ServeEngine, SessionEvictionIsLeastRecentlyUsed) {
