@@ -11,32 +11,12 @@ namespace dpm {
 
 namespace {
 
-/// Column count from which minimize() seeds cold solves with a
+/// Column count from which crash_seed() seeds cold solves with a
 /// policy-iteration crash basis (see dpm/crash.h).  Below it the crash
 /// machinery costs more than the pivots it saves, and the small
 /// case-study scenarios keep their historical byte-for-byte pivot
 /// trajectories (golden tier).
 constexpr std::size_t kCrashMinColumns = 4096;
-
-/// Achieved per-step value of each constraint at the LP point x
-/// (columns laid out x[s*A + a]); shared by the cold and warm-started
-/// solve paths so their accounting cannot drift apart.
-std::vector<double> achieved_per_step(
-    const SystemModel& model, double one_minus_gamma, const linalg::Vector& x,
-    const std::vector<OptimizationConstraint>& constraints) {
-  const std::size_t na = model.num_commands();
-  std::vector<double> achieved;
-  achieved.reserve(constraints.size());
-  for (const auto& oc : constraints) {
-    double total = 0.0;
-    for (std::size_t col = 0; col < x.size(); ++col) {
-      const double v = x[col];
-      if (v != 0.0) total += oc.metric(col / na, col % na) * v;
-    }
-    achieved.push_back(one_minus_gamma * total);
-  }
-  return achieved;
-}
 
 /// One supervised solve (robust/supervisor.h): the escalation ladder
 /// turns transient numerical trouble into a determination.  The rare
@@ -189,25 +169,48 @@ Policy PolicyOptimizer::extract_policy(
   return Policy::randomized(std::move(decisions));
 }
 
-OptimizationResult PolicyOptimizer::minimize(
-    const StateActionMetric& objective,
-    const std::vector<OptimizationConstraint>& constraints) const {
-  const lp::LpProblem problem = build_lp(objective, constraints);
-
+std::vector<std::size_t> PolicyOptimizer::crash_seed(
+    const lp::LpProblem& problem, const StateActionMetric& objective) const {
   // Large cold solves start from a policy-iteration crash basis: the
   // greedy deterministic policy's occupation-measure columns seed the
   // balance rows, turning thousands of phase-1/2 pivots into a short
   // phase-2 polish (dpm/crash.h).  Constraints are ignored by the
   // greedy policy on purpose — the engine's repair path absorbs
   // whatever infeasibility that leaves, or falls back cold.
-  std::vector<std::size_t> crash_cols;
-  if (config_.backend == lp::Backend::kRevisedSimplex &&
-      model_->num_states() * model_->num_commands() >= kCrashMinColumns) {
-    const std::vector<std::size_t> actions = greedy_crash_actions(
-        model_->chain().sparse(), objective, config_.discount);
-    crash_cols = crash_columns_for_lp(actions, model_->num_commands(),
-                                      problem.num_constraints());
+  if (config_.backend != lp::Backend::kRevisedSimplex ||
+      model_->num_states() * model_->num_commands() < kCrashMinColumns) {
+    return {};
   }
+  const std::vector<std::size_t> actions = greedy_crash_actions(
+      model_->chain().sparse(), objective, config_.discount);
+  return crash_columns_for_lp(actions, model_->num_commands(),
+                              problem.num_constraints());
+}
+
+std::vector<double> PolicyOptimizer::achieved_per_step(
+    const linalg::Vector& x,
+    const std::vector<OptimizationConstraint>& constraints) const {
+  const std::size_t na = model_->num_commands();
+  const double one_minus_gamma = 1.0 - config_.discount;
+  std::vector<double> achieved;
+  achieved.reserve(constraints.size());
+  for (const auto& oc : constraints) {
+    double total = 0.0;
+    for (std::size_t col = 0; col < x.size(); ++col) {
+      const double v = x[col];
+      if (v != 0.0) total += oc.metric(col / na, col % na) * v;
+    }
+    achieved.push_back(one_minus_gamma * total);
+  }
+  return achieved;
+}
+
+OptimizationResult PolicyOptimizer::minimize(
+    const StateActionMetric& objective,
+    const std::vector<OptimizationConstraint>& constraints) const {
+  const lp::LpProblem problem = build_lp(objective, constraints);
+
+  const std::vector<std::size_t> crash_cols = crash_seed(problem, objective);
   const lp::LpSolution lp_sol =
       supervised_solve(problem, config_.backend, nullptr, nullptr,
                        crash_cols.empty() ? nullptr : &crash_cols);
@@ -224,8 +227,7 @@ OptimizationResult PolicyOptimizer::minimize(
   result.objective_per_step = one_minus_gamma * lp_sol.objective;
   result.policy = extract_policy(lp_sol.x);
 
-  result.constraint_per_step =
-      achieved_per_step(*model_, one_minus_gamma, lp_sol.x, constraints);
+  result.constraint_per_step = achieved_per_step(lp_sol.x, constraints);
   return result;
 }
 
@@ -306,8 +308,7 @@ std::vector<PolicyOptimizer::ParetoPoint> PolicyOptimizer::sweep(
       pt.feasible = true;
       pt.objective = one_minus_gamma * s.objective;
       pt.policy = extract_policy(s.x);
-      pt.constraint_per_step =
-          achieved_per_step(*model_, one_minus_gamma, s.x, constraints);
+      pt.constraint_per_step = achieved_per_step(s.x, constraints);
       pt.frequencies = s.x;
       basis = std::move(next);  // warm-start the next bound from here
     }

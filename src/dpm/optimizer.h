@@ -128,6 +128,19 @@ class PolicyOptimizer {
       const StateActionMetric& objective,
       const std::vector<OptimizationConstraint>& constraints) const;
 
+  /// Crash seed for a cold solve of `problem`, the LP build_lp() made
+  /// for `objective` (dpm/crash.h).  Empty below 4096 columns, where the
+  /// crash machinery costs more than the pivots it saves, and for the
+  /// tableau backend, which ignores a seed.
+  std::vector<std::size_t> crash_seed(const lp::LpProblem& problem,
+                                      const StateActionMetric& objective) const;
+
+  /// Achieved per-step value of each constraint at the LP point x
+  /// (layout x[s*A + a]): (1-gamma) * sum metric(s,a) x_{s,a}.
+  std::vector<double> achieved_per_step(
+      const linalg::Vector& x,
+      const std::vector<OptimizationConstraint>& constraints) const;
+
   /// Eq. 16 policy extraction; rows with zero visit frequency get a
   /// uniform decision (any choice is optimal for unreachable states).
   Policy extract_policy(const linalg::Vector& frequencies) const;

@@ -131,21 +131,15 @@ Scenario make_serve() {
             cold_wall_ms = wall_now_ms() - t0;
           }
 
-          // Phase B — the serving tiers: one engine, batched waves.
+          // Phase B — the serving tiers: one engine, one request per
+          // device in arrival order.
           PolicyEngine engine(EngineOptions{});
           const double t1 = wall_now_ms();
-          const std::size_t kWave = 16;
-          for (std::size_t start = 0; start < devices; start += kWave) {
-            const std::size_t end = std::min(devices, start + kWave);
-            const std::vector<std::string> wave(lines.begin() + start,
-                                                lines.begin() + end);
-            const std::vector<std::string> responses =
-                engine.handle_batch(wave);
-            for (const std::string& response : responses) {
-              ctx.check(response.find("\"feasible\":true") !=
-                            std::string::npos,
-                        "serve request infeasible: " + response);
-            }
+          for (const std::string& line : lines) {
+            const std::string response = engine.handle_line(line);
+            ctx.check(response.find("\"feasible\":true") !=
+                          std::string::npos,
+                      "serve request infeasible: " + response);
           }
           const double serve_wall_ms = wall_now_ms() - t1;
           const EngineCounters after = engine.counters();
@@ -160,8 +154,7 @@ Scenario make_serve() {
 
           // Replay wave: the whole fleet again — all exact hits, zero
           // additional simplex work on the engine's own counters.
-          const std::vector<std::string> replays =
-              engine.handle_batch(lines);
+          for (const std::string& line : lines) engine.handle_line(line);
           const EngineCounters replay = engine.counters();
           ctx.check(replay.exact_hits == after.exact_hits + devices,
                     "replay wave must be all exact hits");
@@ -217,7 +210,7 @@ Scenario make_serve() {
                     lat.p50_ms, lat.p99_ms, lat.samples);
           ctx.linef("  sustained %.0f req/s",
                     serve_wall_ms > 0
-                        ? 1000.0 * static_cast<double>(devices + replays.size()) /
+                        ? 1000.0 * static_cast<double>(devices) /
                               serve_wall_ms
                         : 0.0);
 

@@ -1,12 +1,10 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <utility>
 
-#include "dpm/crash.h"
 #include "dpm/evaluation.h"
 #include "robust/probe.h"
 #include "robust/supervisor.h"
@@ -17,10 +15,6 @@ namespace {
 
 using scenario::JsonValue;
 
-/// Mirrors the PolicyOptimizer threshold: below this many columns the
-/// crash machinery costs more than the pivots it saves.
-constexpr std::size_t kCrashMinColumns = 4096;
-
 /// Bounded latency reservoir (stats endpoint only).
 constexpr std::size_t kMaxLatencySamples = 4096;
 
@@ -29,44 +23,6 @@ constexpr std::size_t kMaxLatencySamples = 4096;
 /// spec leaves the index and composes again on its next request, so a
 /// client cycling through names cannot grow the index without bound.
 constexpr std::size_t kMaxSpecKeysPerSession = 8;
-
-/// Process-wide aggregate across every engine (relaxed atomics, same
-/// contract as lp::sweep_telemetry).
-struct TelemetryCells {
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> exact_hits{0};
-  std::atomic<std::uint64_t> near_hits{0};
-  std::atomic<std::uint64_t> cold_solves{0};
-  std::atomic<std::uint64_t> evaluations{0};
-  std::atomic<std::uint64_t> rejections{0};
-  std::atomic<std::uint64_t> failures{0};
-  std::atomic<std::uint64_t> repair_pivots{0};
-  std::atomic<std::uint64_t> cold_pivots{0};
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> sheds{0};
-  std::atomic<std::uint64_t> conn_sheds{0};
-  std::atomic<std::uint64_t> session_evictions{0};
-};
-TelemetryCells g_telemetry;
-
-void add_telemetry(const EngineCounters& delta) noexcept {
-  const auto add = [](std::atomic<std::uint64_t>& cell, std::uint64_t v) {
-    if (v != 0) cell.fetch_add(v, std::memory_order_relaxed);
-  };
-  add(g_telemetry.requests, delta.requests);
-  add(g_telemetry.exact_hits, delta.exact_hits);
-  add(g_telemetry.near_hits, delta.near_hits);
-  add(g_telemetry.cold_solves, delta.cold_solves);
-  add(g_telemetry.evaluations, delta.evaluations);
-  add(g_telemetry.rejections, delta.rejections);
-  add(g_telemetry.failures, delta.failures);
-  add(g_telemetry.repair_pivots, delta.repair_pivots);
-  add(g_telemetry.cold_pivots, delta.cold_pivots);
-  add(g_telemetry.batches, delta.batches);
-  add(g_telemetry.sheds, delta.sheds);
-  add(g_telemetry.conn_sheds, delta.conn_sheds);
-  add(g_telemetry.session_evictions, delta.session_evictions);
-}
 
 /// Best-effort request-id recovery for responses produced *without*
 /// parsing the line (admission sheds): a shed must stay cheap, so this
@@ -158,25 +114,6 @@ linalg::Vector resolve_initial(const SystemModel& model,
 
 }  // namespace
 
-EngineCounters serve_telemetry() noexcept {
-  EngineCounters t;
-  t.requests = g_telemetry.requests.load(std::memory_order_relaxed);
-  t.exact_hits = g_telemetry.exact_hits.load(std::memory_order_relaxed);
-  t.near_hits = g_telemetry.near_hits.load(std::memory_order_relaxed);
-  t.cold_solves = g_telemetry.cold_solves.load(std::memory_order_relaxed);
-  t.evaluations = g_telemetry.evaluations.load(std::memory_order_relaxed);
-  t.rejections = g_telemetry.rejections.load(std::memory_order_relaxed);
-  t.failures = g_telemetry.failures.load(std::memory_order_relaxed);
-  t.repair_pivots = g_telemetry.repair_pivots.load(std::memory_order_relaxed);
-  t.cold_pivots = g_telemetry.cold_pivots.load(std::memory_order_relaxed);
-  t.batches = g_telemetry.batches.load(std::memory_order_relaxed);
-  t.sheds = g_telemetry.sheds.load(std::memory_order_relaxed);
-  t.conn_sheds = g_telemetry.conn_sheds.load(std::memory_order_relaxed);
-  t.session_evictions =
-      g_telemetry.session_evictions.load(std::memory_order_relaxed);
-  return t;
-}
-
 /// One registered model structure: the composed model, its LP (rhs
 /// mutated per request) with the digest of everything but that rhs, the
 /// crash seed, the last optimal basis the next near-hit warm-starts
@@ -192,7 +129,7 @@ struct PolicyEngine::Session {
   std::vector<OptimizationConstraint> constraints;  // ge senses negated
   lp::LpProblem lp;
   std::uint64_t matrix_digest = 0;      // lp.matrix_digest(): set_rhs keeps it
-  std::vector<std::size_t> crash_cols;  // empty below kCrashMinColumns
+  std::vector<std::size_t> crash_cols;  // optimizer->crash_seed(lp, ...)
   lp::SimplexBasis basis;               // last optimal basis
   std::uint64_t structural = 0;
   std::uint64_t lru = 0;  // engine session_clock_ at last use
@@ -222,16 +159,10 @@ struct PolicyEngine::Session {
       oc.name = spec.name;
       constraints.push_back(std::move(oc));
     }
-    lp = optimizer->build_lp(metric_by_name(model, objective_name),
-                             constraints);
+    const StateActionMetric objective = metric_by_name(model, objective_name);
+    lp = optimizer->build_lp(objective, constraints);
     matrix_digest = lp.matrix_digest();
-    if (model.num_states() * model.num_commands() >= kCrashMinColumns) {
-      const std::vector<std::size_t> actions = greedy_crash_actions(
-          model.chain().sparse(), metric_by_name(model, objective_name),
-          discount);
-      crash_cols = crash_columns_for_lp(actions, model.num_commands(),
-                                        lp.num_constraints());
-    }
+    crash_cols = optimizer->crash_seed(lp, objective);
   }
 };
 
@@ -243,7 +174,6 @@ struct PolicyEngine::Parsed {
   // Solve ops only: the spec key of an inline model, else the model_ref's
   // structural key.
   std::uint64_t key = 0;
-  bool has_key = false;
 };
 
 /// What a stats response reports, copied under the engine mutex and
@@ -287,7 +217,6 @@ PolicyEngine::Parsed PolicyEngine::parse_one(const std::string& line) const {
         }
         p.key = *ref;
       }
-      p.has_key = true;
     }
   } catch (const ProtocolError& e) {
     p.error_code = e.code();
@@ -304,49 +233,6 @@ std::string PolicyEngine::handle_line(const std::string& line) {
   return compose_response(parsed.req.id, process(parsed));
 }
 
-std::vector<std::string> PolicyEngine::handle_batch(
-    const std::vector<std::string>& lines) {
-  std::vector<Parsed> parsed;
-  parsed.reserve(lines.size());
-  for (const std::string& line : lines) parsed.push_back(parse_one(line));
-
-  // Group solve requests by the key parse_one computed (spec key for an
-  // inline model, structural key for a model_ref), preserving
-  // first-appearance order: the group's first request solves cold (or
-  // warm from a prior session), the rest dual-repair from the basis it
-  // just installed.
-  std::vector<std::size_t> order;
-  order.reserve(lines.size());
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
-  std::vector<std::uint64_t> group_order;
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    const Parsed& p = parsed[i];
-    if (p.error_code.empty() && p.has_key) {
-      auto [it, inserted] = groups.try_emplace(p.key);
-      if (inserted) group_order.push_back(p.key);
-      it->second.push_back(i);
-    } else {
-      order.push_back(i);  // non-solve requests keep arrival order
-    }
-  }
-  for (const std::uint64_t key : group_order) {
-    for (const std::size_t i : groups[key]) order.push_back(i);
-  }
-
-  std::vector<std::string> responses(lines.size());
-  for (const std::size_t i : order) {
-    responses[i] = compose_response(parsed[i].req.id, process(parsed[i]));
-  }
-  if (lines.size() > 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.batches += 1;
-    EngineCounters delta;
-    delta.batches = 1;
-    add_telemetry(delta);
-  }
-  return responses;
-}
-
 std::string PolicyEngine::submit(const std::string& line) {
   bool admitted = false;
   {
@@ -354,19 +240,15 @@ std::string PolicyEngine::submit(const std::string& line) {
     if (options_.max_inflight == 0 || inflight_ < options_.max_inflight) {
       admitted = true;
       ++inflight_;
+    } else {
+      admission_.sheds += 1;
     }
   }
   if (!admitted) {
     // Admission budget exhausted: shed instead of queuing.  The line is
-    // never parsed (shedding must stay cheap under a flood), so the id
-    // echo is best-effort and the detail names the budget that fired.
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      counters_.sheds += 1;
-    }
-    EngineCounters delta;
-    delta.sheds = 1;
-    add_telemetry(delta);
+    // never parsed and the engine mutex never taken (shedding must stay
+    // cheap under a flood, even while a solve holds the engine), so the
+    // id echo is best-effort and the detail names the budget that fired.
     return compose_response(
         peek_id(line),
         error_body("overloaded",
@@ -399,7 +281,6 @@ std::string PolicyEngine::process(const Parsed& parsed) {
   std::optional<StatsSnapshot> stats;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    EngineCounters before = counters_;
     counters_.requests += 1;
     if (!parsed.error_code.empty()) {
       counters_.rejections += 1;
@@ -434,21 +315,6 @@ std::string PolicyEngine::process(const Parsed& parsed) {
         body = error_body("bad-request", e.what());
       }
     }
-    // Mirror this request's counter delta into the process aggregate.
-    EngineCounters delta;
-    delta.requests = counters_.requests - before.requests;
-    delta.exact_hits = counters_.exact_hits - before.exact_hits;
-    delta.near_hits = counters_.near_hits - before.near_hits;
-    delta.cold_solves = counters_.cold_solves - before.cold_solves;
-    delta.evaluations = counters_.evaluations - before.evaluations;
-    delta.rejections = counters_.rejections - before.rejections;
-    delta.failures = counters_.failures - before.failures;
-    delta.repair_pivots = counters_.repair_pivots - before.repair_pivots;
-    delta.cold_pivots = counters_.cold_pivots - before.cold_pivots;
-    delta.session_evictions =
-        counters_.session_evictions - before.session_evictions;
-    add_telemetry(delta);
-
     const double elapsed = now_ms() - t0;
     if (latency_samples_.size() >= kMaxLatencySamples) {
       latency_samples_[counters_.requests % kMaxLatencySamples] = elapsed;
@@ -458,7 +324,10 @@ std::string PolicyEngine::process(const Parsed& parsed) {
   }
   // Sorting the reservoir and serializing happen off the engine mutex,
   // so a stats probe never stalls the requests behind it.
-  if (stats) body = stats_body(*stats);
+  if (stats) {
+    add_admission_counts(stats->counters);
+    body = stats_body(*stats);
+  }
   return body;
 }
 
@@ -674,7 +543,6 @@ std::string PolicyEngine::solve_in_session(Session& session,
     if (!basis_out.empty()) session.basis = std::move(basis_out);
     const double one_minus_gamma = 1.0 - session.discount;
     const linalg::Vector& x = outcome.solution.x;
-    const std::size_t na = session.model.num_commands();
 
     JsonValue o = JsonValue::object();
     o.set("status", JsonValue::string("ok"));
@@ -683,19 +551,15 @@ std::string PolicyEngine::solve_in_session(Session& session,
     o.set("objective", JsonValue::string(session.objective_name));
     o.set("objective_per_step",
           JsonValue::number(one_minus_gamma * outcome.solution.objective));
-    JsonValue achieved = JsonValue::array();
-    for (std::size_t k = 0; k < session.constraints.size(); ++k) {
-      double total = 0.0;
-      for (std::size_t col = 0; col < x.size(); ++col) {
-        if (x[col] != 0.0) {
-          total += session.constraints[k].metric(col / na, col % na) * x[col];
-        }
-      }
-      double value = one_minus_gamma * total;
-      if (session.specs[k].lower_bound) value = -value;  // report as requested
-      achieved.push_back(JsonValue::number(value));
+    const std::vector<double> achieved =
+        session.optimizer->achieved_per_step(x, session.constraints);
+    JsonValue per_step = JsonValue::array();
+    for (std::size_t k = 0; k < achieved.size(); ++k) {
+      // "ge" rows were negated into the LP: report as requested.
+      per_step.push_back(JsonValue::number(
+          session.specs[k].lower_bound ? -achieved[k] : achieved[k]));
     }
-    o.set("constraint_per_step", std::move(achieved));
+    o.set("constraint_per_step", std::move(per_step));
     if (request.want_policy) {
       o.set("policy",
             json_matrix(session.optimizer->extract_policy(x).matrix()));
@@ -790,7 +654,8 @@ std::string PolicyEngine::stats_body(StatsSnapshot& snap) {
   c.set("failures", JsonValue::number(double(counts.failures)));
   c.set("repair_pivots", JsonValue::number(double(counts.repair_pivots)));
   c.set("cold_pivots", JsonValue::number(double(counts.cold_pivots)));
-  c.set("batches", JsonValue::number(double(counts.batches)));
+  // Reserved, always 0: perfbench's serve workload still reads the key.
+  c.set("batches", JsonValue::number(0.0));
   c.set("sheds", JsonValue::number(double(counts.sheds)));
   c.set("conn_sheds", JsonValue::number(double(counts.conn_sheds)));
   c.set("session_evictions",
@@ -824,23 +689,20 @@ std::string PolicyEngine::stats_body(StatsSnapshot& snap) {
 }
 
 void PolicyEngine::note_shed_connection() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.conn_sheds += 1;
-  }
-  EngineCounters delta;
-  delta.conn_sheds = 1;
-  add_telemetry(delta);
+  std::lock_guard<std::mutex> lock(inflight_mutex_);
+  admission_.conn_sheds += 1;
 }
 
 void PolicyEngine::note_oversized_line() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.rejections += 1;
-  }
-  EngineCounters delta;
-  delta.rejections = 1;
-  add_telemetry(delta);
+  std::lock_guard<std::mutex> lock(inflight_mutex_);
+  admission_.rejections += 1;
+}
+
+void PolicyEngine::add_admission_counts(EngineCounters& counts) const {
+  std::lock_guard<std::mutex> lock(inflight_mutex_);
+  counts.sheds += admission_.sheds;
+  counts.conn_sheds += admission_.conn_sheds;
+  counts.rejections += admission_.rejections;
 }
 
 std::size_t PolicyEngine::inflight() const {
@@ -860,8 +722,13 @@ bool PolicyEngine::shutdown_requested() const noexcept {
 }
 
 EngineCounters PolicyEngine::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
+  EngineCounters counts;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    counts = counters_;
+  }
+  add_admission_counts(counts);
+  return counts;
 }
 
 LatencySummary PolicyEngine::latency() const {

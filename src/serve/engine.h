@@ -1,10 +1,12 @@
 // PolicyEngine: the dpmd request processor.
 //
 // One engine owns the full serving state — the model/LP session table,
-// the content-addressed response cache, and the telemetry counters —
+// the content-addressed response cache, and the request counters —
 // behind a single mutex, so every request sequence produces the same
 // responses at any client thread count (the serving restatement of the
-// scenario engine's --jobs invariance).
+// scenario engine's --jobs invariance).  Overload events (sheds, refused
+// connections, oversized lines) are counted under the admission lock
+// instead, so they never wait behind a solve.
 //
 // Three economic tiers per solve request (docs/serving.md):
 //   * exact hit  — the full request key (protocol.h) matches a cached
@@ -13,8 +15,8 @@
 //     LP and warm-start the boxed dual simplex from the session's last
 //     optimal basis (the 303-vs-10480-pivot economics of PR 4);
 //   * cold solve — first sighting of a structure: build the LP once,
-//     solve from scratch (policy-iteration crash basis at >= 4096
-//     columns, mirroring PolicyOptimizer), register the session.
+//     solve from scratch (from PolicyOptimizer::crash_seed, the same
+//     crash basis minimize() uses), register the session.
 //
 // Neither hit re-derives the model.  An inline model is keyed by its
 // wire spec (protocol.h spec key) and an index maps that key to a live
@@ -78,10 +80,11 @@ struct EngineOptions {
   std::size_t max_sessions = 256;
 };
 
-/// Per-engine request accounting.  Plain members guarded by the engine
-/// mutex — deterministic for a deterministic request sequence, unlike
-/// the process-wide odometers.  scripts/check_docs.sh gates this field
-/// list against docs/serving.md.
+/// Per-engine request accounting — deterministic for a deterministic
+/// request sequence, unlike the process-wide odometers.  The overload
+/// counters (sheds, conn_sheds, oversized-line rejections) are kept
+/// under the admission lock and merged in by counters() and `stats`.
+/// scripts/check_docs.sh gates this field list against docs/serving.md.
 struct EngineCounters {
   std::uint64_t requests = 0;       ///< lines accepted (any op)
   std::uint64_t exact_hits = 0;     ///< replayed from the response cache
@@ -92,16 +95,10 @@ struct EngineCounters {
   std::uint64_t failures = 0;       ///< solves abandoned (SolveFailure)
   std::uint64_t repair_pivots = 0;  ///< simplex iterations on near hits
   std::uint64_t cold_pivots = 0;    ///< simplex iterations on cold solves
-  std::uint64_t batches = 0;        ///< multi-line handle_batch() calls
   std::uint64_t sheds = 0;          ///< requests shed by the admission budget
   std::uint64_t conn_sheds = 0;     ///< connections refused at the accept cap
   std::uint64_t session_evictions = 0;  ///< sessions evicted by the LRU bound
 };
-
-/// Process-wide serving telemetry (relaxed atomics, same contract as
-/// lp::sweep_telemetry): aggregates every PolicyEngine since process
-/// start.  For the deterministic per-engine numbers use counters().
-EngineCounters serve_telemetry() noexcept;
 
 /// Request-handling latency summary from a bounded reservoir of recent
 /// samples.  Real wall time — admin/stdout surface only, never part of
@@ -124,13 +121,6 @@ class PolicyEngine {
   /// Serves one request line; always returns exactly one response line
   /// (never throws, never returns empty).
   std::string handle_line(const std::string& line);
-
-  /// Serves a batch: responses index-aligned with `lines`.  Solve
-  /// requests are grouped, in first-appearance order, by the key parsing
-  /// computes — the spec key for an inline model, the structural key for
-  /// a model_ref — so one representative per group solves cold/warm and
-  /// the rest of the group dual-repairs from its basis.
-  std::vector<std::string> handle_batch(const std::vector<std::string>& lines);
 
   /// Thread-safe entry point behind the admission budget: a caller
   /// over max_inflight is shed with a typed "overloaded" response; an
@@ -172,6 +162,7 @@ class PolicyEngine {
   std::string process_evaluate(const Parsed& parsed);
   StatsSnapshot stats_snapshot() const;  // engine mutex held
   static std::string stats_body(StatsSnapshot& snap);  // sorts snap.samples
+  void add_admission_counts(EngineCounters& counts) const;
 
   Session& resolve_session(const Parsed& parsed);
   void index_spec(Session& session, std::uint64_t spec);
@@ -190,9 +181,11 @@ class PolicyEngine {
   std::vector<double> latency_samples_;  // bounded reservoir, ms
   bool shutdown_ = false;
 
-  // Admission budget (submit only).
+  // Admission budget (submit only) and the overload events, which must
+  // not wait for mutex_: a solve can hold it for seconds.
   mutable std::mutex inflight_mutex_;
   std::size_t inflight_ = 0;  // submit() callers admitted, not done
+  EngineCounters admission_;  // sheds, conn_sheds, rejections only
 };
 
 }  // namespace dpm::serve

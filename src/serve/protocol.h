@@ -33,15 +33,13 @@
 //     constraint metric/sense list.  It is computed at parse time
 //     without composing the model; the engine maps it to the structural
 //     key of a live session, so an exact or near hit never composes.
-//     handle_batch() groups inline-model solves by it.
 //   * the *structural* key hashes everything that fixes the LP matrix —
 //     the composed SystemModel, the discount, the objective metric and
 //     the constraint metric/sense list.  Requests sharing it differ at
 //     most in rhs data (initial distribution, constraint bounds), so a
 //     basis from one warm-starts another (the boxed dual repairs the
-//     moved rhs).  It is the wire model_ref, and handle_batch() groups
-//     model_ref solves by it.  Specs that compose to one model (e.g.
-//     that differ only in command names) share it.
+//     moved rhs).  It is the wire model_ref.  Specs that compose to one
+//     model (e.g. that differ only in command names) share it.
 //   * the *solve* key adds the assembled LP — its matrix digest (costs,
 //     bounds, senses, terms: fixed per session, hashed once) and its rhs
 //     (the constraint point) — and the response-shape flags; it fronts

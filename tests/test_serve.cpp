@@ -645,6 +645,33 @@ TEST(ServeEngine, ServerEventNotesLandInStats) {
   EXPECT_EQ(parsed.get("counters")->number_at("session_evictions"), 0.0);
 }
 
+// The `stats` counter keys are a wire contract: the perfbench serve
+// workload reads each of them with a throwing lookup.  `batches` is
+// reserved and always 0.
+TEST(ServeEngine, StatsCounterKeySetIsPinned) {
+  PolicyEngine engine{EngineOptions{}};
+  Request r = rich_optimize();
+  r.constraints[0].bound = 0.45;
+  const std::string solve = serve::format_request(r);
+  engine.handle_line(solve);
+  engine.handle_line(solve);  // exact hit
+  const JsonValue parsed =
+      JsonValue::parse(engine.handle_line(R"({"id":"s","op":"stats"})"));
+  const JsonValue* counters = parsed.get("counters");
+  ASSERT_NE(counters, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : counters->members()) keys.push_back(key);
+  const std::vector<std::string> want = {
+      "requests",    "exact_hits",    "near_hits",   "cold_solves",
+      "evaluations", "rejections",    "failures",    "repair_pivots",
+      "cold_pivots", "batches",       "sheds",       "conn_sheds",
+      "session_evictions"};
+  EXPECT_EQ(keys, want);
+  EXPECT_EQ(counters->number_at("batches"), 0.0);
+  EXPECT_EQ(counters->number_at("requests"), 3.0);
+  EXPECT_EQ(counters->number_at("exact_hits"), 1.0);
+}
+
 TEST(ServeEngine, StatsAndShutdownAreServed) {
   PolicyEngine engine{EngineOptions{}};
   const std::string stats = engine.handle_line(R"({"id":"s","op":"stats"})");

@@ -2,10 +2,9 @@
 //   * N client threads against one in-process PolicyServer produce
 //     responses bitwise-equal to per-request cold solves on a fresh
 //     engine — the serving restatement of --jobs invariance;
-//   * submit() at any thread count and handle_batch() both answer with
-//     the cold-solve bytes;
-//   * the admission budget sheds with a typed response and accounts
-//     for every line;
+//   * submit() at any thread count answers with the cold-solve bytes;
+//   * the admission budget sheds with a typed response, without waiting
+//     for the solve that holds the engine, and accounts for every line;
 //   * engine pivot counters reconcile exactly with the process-wide
 //     lp::pivots_executed() odometer.
 //
@@ -94,7 +93,7 @@ std::string response_body(const std::string& response) {
   return response.substr(at);
 }
 
-// --- submit() and handle_batch() -------------------------------------
+// --- submit() and handle_line() --------------------------------------
 
 TEST(ServeConcurrency, ThreadedSubmitMatchesColdSolvesBitwise) {
   const std::vector<std::string> lines = fleet_lines();
@@ -117,7 +116,7 @@ TEST(ServeConcurrency, ThreadedSubmitMatchesColdSolvesBitwise) {
     for (std::thread& th : pool) th.join();
 
     // Same bytes as a cold solve for every request, whether the engine
-    // served it cold, warm-repaired it in a batch, or replayed it.
+    // served it cold, warm-repaired it, or replayed it.
     for (std::size_t i = 0; i < lines.size(); ++i) {
       EXPECT_EQ(got[i], want[i]) << "request " << i << " at " << threads
                                  << " threads";
@@ -128,43 +127,39 @@ TEST(ServeConcurrency, ThreadedSubmitMatchesColdSolvesBitwise) {
     EXPECT_EQ(counters.rejections, 0u);
     EXPECT_EQ(counters.failures, 0u);
     EXPECT_EQ(counters.evaluations, 1u);
-    // 8 solve requests over 2 structures: however they were batched,
-    // every one either solved cold, warm-repaired, or hit the cache.
+    // 8 solve requests over 2 structures: however the threads
+    // interleaved, every one either solved cold, warm-repaired, or hit
+    // the cache.
     EXPECT_EQ(counters.cold_solves + counters.near_hits + counters.exact_hits,
               lines.size() - 1);
     EXPECT_GE(counters.cold_solves, 1u);
   }
 }
 
-TEST(ServeConcurrency, BatchedAndSequentialCountersReconcileWithOdometer) {
+TEST(ServeConcurrency, SequentialCountersReconcileWithOdometer) {
   const std::vector<std::string> lines = fleet_lines();
 
   PolicyEngine engine{EngineOptions{}};
   const std::uint64_t pivots_before = lp::pivots_executed();
-  std::vector<std::string> batched = engine.handle_batch(lines);
+  std::vector<std::string> first;
+  for (const std::string& line : lines) {
+    first.push_back(engine.handle_line(line));
+  }
   const std::uint64_t pivots_spent = lp::pivots_executed() - pivots_before;
 
   // The engine's own accounting must explain every pivot the process
-  // odometer saw while serving the batch.
+  // odometer saw while serving the lines.
   const EngineCounters counters = engine.counters();
   EXPECT_EQ(counters.cold_pivots + counters.repair_pivots, pivots_spent);
   EXPECT_GT(counters.cold_pivots, 0u);
 
-  // Replaying the same batch is all exact hits: zero new pivots, same
+  // Replaying the same lines is all exact hits: zero new pivots, same
   // bytes.
   const std::uint64_t replay_before = lp::pivots_executed();
-  std::vector<std::string> replay = engine.handle_batch(lines);
-  EXPECT_EQ(lp::pivots_executed() - replay_before, 0u);
-  ASSERT_EQ(replay.size(), batched.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(replay[i], batched[i]) << "replay " << i;
-  }
-
-  // And the batch answers match sequential handle_line on a twin.
-  PolicyEngine twin{EngineOptions{}};
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(twin.handle_line(lines[i]), batched[i]) << "sequential " << i;
+    EXPECT_EQ(engine.handle_line(lines[i]), first[i]) << "replay " << i;
   }
+  EXPECT_EQ(lp::pivots_executed() - replay_before, 0u);
 }
 
 // --- admission shedding ----------------------------------------------
@@ -188,23 +183,41 @@ TEST(ServeConcurrency, SubmitShedsAtInflightCapWithTypedResponse) {
   opts.max_inflight = 1;
   PolicyEngine engine(opts);
 
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+  };
+
   const std::string solve = slow_cold_line(0, "slow");
   std::string admitted;
-  std::thread holder([&] { admitted = engine.submit(solve); });
-  // Wait until the slow solve holds the only admission slot, then
-  // submit over the budget: a deterministic shed.
+  double held_ms = 0.0;
+  std::thread holder([&] {
+    const Clock::time_point t0 = Clock::now();
+    admitted = engine.submit(solve);
+    held_ms = ms_since(t0);
+  });
+  // Wait until the slow solve holds the only admission slot, then give
+  // it time to parse and take the engine mutex for its cold solve.
   for (int tries = 0; engine.inflight() == 0 && tries < 1000; ++tries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(engine.inflight(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
+  // Submit over the budget: a deterministic shed.
+  const Clock::time_point shed_start = Clock::now();
   const std::string shed = engine.submit(R"({"id":"shed-me","op":"stats"})");
+  const double shed_ms = ms_since(shed_start);
   EXPECT_NE(shed.find("\"code\":\"overloaded\""), std::string::npos) << shed;
   EXPECT_NE(shed.find("\"id\":\"shed-me\""), std::string::npos) << shed;
   EXPECT_NE(shed.find("max_inflight=1"), std::string::npos) << shed;
 
   holder.join();
   EXPECT_NE(admitted.find("\"status\":\"ok\""), std::string::npos) << admitted;
+  // The shed must not wait out the solve that holds the engine mutex.
+  EXPECT_LT(shed_ms, 0.1 * held_ms)
+      << "shed took " << shed_ms << " ms behind a " << held_ms << " ms solve";
   const EngineCounters counters = engine.counters();
   EXPECT_EQ(counters.sheds, 1u);
   // A shed line is never parsed or processed: only the admitted request
