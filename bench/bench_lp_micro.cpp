@@ -11,7 +11,6 @@
 #include "dpm/evaluation.h"
 #include "dpm/optimizer.h"
 #include "dpm/value_iteration.h"
-#include "lp/solver.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
 #include "trace/sr_extractor.h"

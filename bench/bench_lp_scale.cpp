@@ -60,7 +60,8 @@
 #include "dpm/crash.h"
 #include "dpm/optimizer.h"
 #include "linalg/dense_block.h"
-#include "lp/solver.h"
+#include "lp/revised_simplex.h"
+#include "lp/simplex.h"
 #include "markov/sparse_chain.h"
 
 using namespace dpm;

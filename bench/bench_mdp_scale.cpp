@@ -11,8 +11,10 @@
 //            accumulation occupancy (the PolicyEvaluation hot path:
 //            O(nnz * iters), no factorization)
 //   assembly balance-equation LP build straight off the CSR rows
-//   solve    sparse revised simplex on that LP (largest size included —
-//            partial pricing + Markowitz LU keep it tractable)
+//
+// Solves are not measured here: a no-crash cold solve is not the path
+// production takes, and bench_lp_scale's `nocrash` rows already record
+// it; perfbench's cold-expander measures the production 50k solve.
 //
 // `--smoke` (or DPMOPT_BENCH_SMOKE=1) shrinks sizes for `ctest -L bench`.
 #include <cstdio>
@@ -20,7 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "lp/revised_simplex.h"
+#include "lp/problem.h"
 #include "markov/occupancy.h"
 #include "markov/sparse_chain.h"
 
@@ -95,7 +97,6 @@ lp::LpProblem assemble_lp(const markov::SparseControlledChain& chain,
 
 struct SizeSpec {
   std::size_t n, na, succ;
-  bool solve;
 };
 
 }  // namespace
@@ -104,24 +105,16 @@ int main(int argc, char** argv) {
   const bool smoke = bench::smoke_mode(argc, argv);
   bench::banner("MDP pipeline scaling (sparse chains past n*na = 50k)",
                 "CSR chain build, sparse policy evaluation, O(nnz) LP "
-                "assembly, revised-simplex solve; gamma = 0.999");
+                "assembly; gamma = 0.999");
   bench::JsonReport report("mdp_scale", /*enabled=*/!smoke);
   const double gamma = 0.999;
 
-  // Solves stop at 20k columns: the random-successor bases beyond that
-  // fill heavily enough (expander-like sparsity has no low-fill
-  // elimination order) that a solve is minutes, not seconds; the
-  // pipeline stages upstream of the solve are the point of the largest
-  // size and stay sub-second at 56k.
   const std::vector<SizeSpec> sizes =
-      smoke ? std::vector<SizeSpec>{{50, 2, 3, true}}
-            : std::vector<SizeSpec>{{1000, 8, 4, true},
-                                    {2500, 8, 4, true},
-                                    {7000, 8, 4, false}};
+      smoke ? std::vector<SizeSpec>{{50, 2, 3}}
+            : std::vector<SizeSpec>{{1000, 8, 4}, {2500, 8, 4}, {7000, 8, 4}};
 
-  std::printf("  %-12s %10s %12s %12s %10s %12s %10s\n", "size n*na",
-              "chain_ms", "mix+eval_ms", "assembly_ms", "nnz_k", "solve_ms",
-              "pivots");
+  std::printf("  %-12s %10s %12s %12s %10s\n", "size n*na", "chain_ms",
+              "mix+eval_ms", "assembly_ms", "nnz_k");
   for (const SizeSpec& spec : sizes) {
     const std::size_t nna = spec.n * spec.na;
 
@@ -152,34 +145,8 @@ int main(int argc, char** argv) {
     std::size_t nnz = 0;
     for (const auto& c : p.constraints()) nnz += c.terms.size();
 
-    double solve_ms = 0.0;
-    std::size_t pivots = 0;
-    if (spec.solve) {
-      lp::SimplexStats stats;
-      lp::RevisedSimplexOptions opt;
-      opt.stats = &stats;
-      bench::WallTimer t_solve;
-      const lp::LpSolution sol = lp::solve_revised_simplex(p, opt);
-      solve_ms = t_solve.elapsed_ms();
-      pivots = sol.iterations;
-      report.add("solve n*na=" + std::to_string(nna), solve_ms, pivots,
-                 sol.objective * (1.0 - gamma));
-      report.add("refactor n*na=" + std::to_string(nna), stats.refactor_ms,
-                 stats.refactorizations,
-                 stats.refactor_ms / std::max(solve_ms, 1e-9));
-      // Update-vs-sweep split: what each pivot pays to *apply* the
-      // factorization (triangular sweeps) vs to *maintain* it (FT
-      // updates; refactorizations are the record above).
-      report.add("sweep n*na=" + std::to_string(nna), stats.sweep_ms, pivots,
-                 stats.sweep_ms / std::max(solve_ms, 1e-9));
-      report.add("ft-update n*na=" + std::to_string(nna), stats.update_ms,
-                 stats.ft_updates,
-                 stats.update_ms / std::max(solve_ms, 1e-9));
-    }
-
-    std::printf("  %-12zu %10.2f %12.2f %12.2f %10.1f %12.2f %10zu\n", nna,
-                chain_ms, eval_ms, asm_ms,
-                static_cast<double>(nnz) / 1000.0, solve_ms, pivots);
+    std::printf("  %-12zu %10.2f %12.2f %12.2f %10.1f\n", nna, chain_ms,
+                eval_ms, asm_ms, static_cast<double>(nnz) / 1000.0);
     report.add("chain n*na=" + std::to_string(nna), chain_ms,
                chain.nonzeros(), occ_mass);
     report.add("mix+eval n*na=" + std::to_string(nna), eval_ms,

@@ -18,8 +18,11 @@
 #                                # the dense-tail block carries >30% of
 #                                # sweeps on a mid-size MDP LP with the
 #                                # crash basis at least halving the cold
-#                                # pivot count, and tiny instances keep
-#                                # the block machinery off
+#                                # pivot count, tiny instances keep
+#                                # the block machinery off, and every
+#                                # supervised solve of the clean smoke
+#                                # registry is answered by its first
+#                                # rung (first_try == supervised)
 #   scripts/verify.sh --fault-smoke
 #                                # Release build, then the injected-
 #                                # fault matrix: every probe site over
@@ -95,6 +98,27 @@ check_perf_smoke() {
     return 1
   fi
   echo "perf smoke: ok (sparse sweep share ${pct}%)"
+
+  echo "=== perf smoke: the clean smoke registry never touches the recovery ladder ==="
+  # Without injected faults every supervised solve must be answered by
+  # its first rung.  A degenerate stall ends in kIterationLimit, which
+  # the SolveSupervisor ladder escalates, so an exact count catches the
+  # first stall (or numerical failure) the moment it appears.
+  local reg supervised first_try unrecovered
+  reg="$(build/bench_scenarios --smoke --quiet --no-cache --telemetry)"
+  echo "${reg}" | grep '^telemetry: supervised='
+  supervised="$(echo "${reg}" | sed -n 's/.* supervised=\([0-9]*\).*/\1/p')"
+  first_try="$(echo "${reg}" | sed -n 's/.* first_try=\([0-9]*\).*/\1/p')"
+  unrecovered="$(echo "${reg}" | sed -n 's/.* unrecovered=\([0-9]*\).*/\1/p')"
+  if [[ -z "${supervised}" || -z "${first_try}" || -z "${unrecovered}" ]]; then
+    echo "perf smoke: FAILED (no recovery telemetry line in bench_scenarios output)"
+    return 1
+  fi
+  if [[ "${first_try}" != "${supervised}" || "${unrecovered}" != "0" ]]; then
+    echo "perf smoke: FAILED (first_try ${first_try} of ${supervised} supervised, unrecovered ${unrecovered})"
+    return 1
+  fi
+  echo "perf smoke: ok (${first_try}/${supervised} supervised solves answered first try)"
 
   echo "=== perf smoke: dense-tail block + crash-basis pivots (bench_lp_scale --tail-smoke) ==="
   # One deterministic mid-size MDP LP (n*na = 8000, fixed seed).  Four

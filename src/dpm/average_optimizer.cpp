@@ -2,9 +2,8 @@
 
 namespace dpm {
 
-AverageCostOptimizer::AverageCostOptimizer(const SystemModel& model,
-                                           lp::Backend backend)
-    : model_(&model), backend_(backend) {}
+AverageCostOptimizer::AverageCostOptimizer(const SystemModel& model)
+    : model_(&model) {}
 
 lp::LpProblem AverageCostOptimizer::build_lp(
     const StateActionMetric& objective,
@@ -68,7 +67,7 @@ OptimizationResult AverageCostOptimizer::minimize(
     const StateActionMetric& objective,
     const std::vector<OptimizationConstraint>& constraints) const {
   const lp::LpProblem problem = build_lp(objective, constraints);
-  const lp::LpSolution lp_sol = lp::solve(problem, backend_);
+  const lp::LpSolution lp_sol = lp::solve_revised_simplex(problem);
 
   OptimizationResult result;
   result.lp_status = lp_sol.status;

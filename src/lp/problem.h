@@ -127,10 +127,8 @@ enum class LpStatus {
   kIterationLimit,
   /// The solver hit a numerical wall it could not pivot through:
   /// singular refactorization or non-finite values mid-solve.
-  /// Deliberately distinct from kIterationLimit
-  /// (which the revised simplex remedies with perturbed retries):
-  /// numerical failures are handed to robust::SolveSupervisor, whose
-  /// escalation ladder retries the *exact* problem colder instead of a
+  /// Like kIterationLimit it goes to robust::SolveSupervisor, whose
+  /// escalation ladder retries the *exact* problem colder, never a
   /// perturbed one, so recovered objectives stay bit-identical.
   kNumericalFailure,
   /// The cooperative per-unit wall-clock deadline expired mid-solve
@@ -161,13 +159,5 @@ struct LpSolution {
   /// "nonfinite-values", "deadline".
   const char* note = nullptr;
 };
-
-/// Deterministically perturbed copy: rhs_i += eps * (i+1) * scale / m,
-/// with scale = max |rhs|.  The classical anti-cycling remedy both
-/// simplex backends retry with when a heavily degenerate basis stalls
-/// (policy LPs are degenerate by construction: most initial-distribution
-/// entries are zero).  Objectives move by O(eps * m * horizon), far
-/// below any quantity the library reports.
-LpProblem perturbed_copy(const LpProblem& problem, double eps);
 
 }  // namespace dpm::lp

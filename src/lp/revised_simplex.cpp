@@ -22,6 +22,29 @@ namespace {
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// The engine's one configuration (src/lp/README.md lists these values).
+constexpr std::size_t kMaxIterations = 20000;  // pivot budget per phase
+constexpr double kPivotTol = 1e-8;  // reject smaller ratio-test pivots
+constexpr double kReducedCostTol = 1e-9;
+constexpr double kFeasTol = 1e-7;  // phase-1 residual accepted as feasible
+// Hard cap on Forrest-Tomlin updates between refactorizations.  The
+// trigger that usually fires first is BasisFactorization's amortized
+// rule: refactorize once the update transforms have cost
+// kRefactorWorkRatio times as much extra sweep work as the last
+// rebuild's measured work.  That balances cheap factorizations against
+// heavily filling ones and is bit-deterministic; the cap only bounds
+// numerical drift on extreme instances.
+constexpr std::size_t kRefactorInterval = 1024;
+constexpr double kRefactorWorkRatio = 1.0;
+// Switch to Bland's rule after this many non-improving iterations.
+constexpr std::size_t kStallLimit = 64;
+// End the phase with kIterationLimit after this many non-improving
+// Bland iterations; the SolveSupervisor ladder escalates it.
+constexpr std::size_t kBlandStallAbort = 2000;
+// Dual pivots a warm or crash start may spend before it falls back to
+// a cold solve (warm starts are only worth it when they are short).
+constexpr std::size_t kMaxDualIterations = 1000;
+
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -60,7 +83,7 @@ class RevisedSimplex {
   RevisedSimplex(const LpProblem& p, const RevisedSimplexOptions& opt)
       : opt_(opt),
         n_struct_(p.num_variables()),
-        factor_(opt.refactor_interval, 1e-11, opt.refactor_work_ratio) {
+        factor_(kRefactorInterval, 1e-11, kRefactorWorkRatio) {
     // --- bound setup + singleton-row absorption ----------------------
     upper_struct_.assign(n_struct_, kInf);
     for (std::size_t j = 0; j < n_struct_; ++j) {
@@ -478,7 +501,7 @@ class RevisedSimplex {
     double best_obj = std::numeric_limits<double>::infinity();
     y_stale_ = true;
 
-    while (res.iterations < opt_.max_iterations) {
+    while (res.iterations < kMaxIterations) {
       if (robust::deadline_expired()) {
         res.status = LpStatus::kDeadline;
         res.note = "deadline";
@@ -609,9 +632,8 @@ class RevisedSimplex {
         // objective milestones strictly decrease, and each Bland
         // episode between them terminates on its own.
         bland = false;
-      } else if (++stall >=
-                 (bland ? opt_.bland_stall_abort : opt_.stall_limit)) {
-        if (bland) return res;  // give up; caller retries perturbed
+      } else if (++stall >= (bland ? kBlandStallAbort : kStallLimit)) {
+        if (bland) return res;  // give up: kIterationLimit
         bland = true;
         stall = 0;
         // Anti-cycling wants the sharpest reduced costs available.
@@ -641,7 +663,7 @@ class RevisedSimplex {
   /// row-wise matrix; duals update incrementally off the same rho.
   /// Feasibility is only declared after re-scanning freshly recomputed
   /// basic values.
-  PhaseResult dual(std::size_t max_iters) {
+  PhaseResult dual() {
     PhaseResult res;
     recompute_xb();
     refresh_y(cost2_);
@@ -649,7 +671,7 @@ class RevisedSimplex {
     std::size_t xb_pivots = 0;   // incremental-xb steps since last solve
     std::size_t bad_pivots = 0;  // consecutive drifted-pivot resyncs
 
-    while (res.iterations < max_iters) {
+    while (res.iterations < kMaxDualIterations) {
       if (robust::deadline_expired()) {
         res.status = LpStatus::kDeadline;
         res.note = "deadline";
@@ -690,7 +712,7 @@ class RevisedSimplex {
           v = xb_[i] - u;
           up = true;
         }
-        if (v <= opt_.feas_tol) continue;
+        if (v <= kFeasTol) continue;
         const double score = v * v / dse_w_[i];
         if (leave == kNone || score > best_score) {
           best_score = score;
@@ -754,7 +776,7 @@ class RevisedSimplex {
       for (const std::size_t j : alpha_touched_) {
         if (in_basis_[j] || upper_[j] <= 0.0) continue;
         const double alpha = alpha_acc_[j];
-        if (std::abs(alpha) <= opt_.pivot_tol) continue;
+        if (std::abs(alpha) <= kPivotTol) continue;
         const double e = dir * alpha;
         if (at_upper_[j] ? (e <= 0.0) : (e >= 0.0)) continue;
         const double rc = cost2_[j] - column_dot(j, y_);
@@ -830,7 +852,7 @@ class RevisedSimplex {
       for (const auto& [r, v] : cols_[enter]) d.add(r, v);
       solve_ftran(d, /*entering=*/true);
       const double alpha_r = d.values[leave];
-      if (std::abs(alpha_r) <= opt_.pivot_tol) {
+      if (std::abs(alpha_r) <= kPivotTol) {
         // The factorized pivot disagrees with the ratio-test alpha
         // (update drift): resync everything and retry the row; give up
         // if it keeps happening.
@@ -910,7 +932,7 @@ class RevisedSimplex {
       solve_btran(rho);
       for (std::size_t j = 0; j < first_artificial_; ++j) {
         if (in_basis_[j]) continue;
-        if (std::abs(column_dot(j, rho)) <= opt_.pivot_tol) continue;
+        if (std::abs(column_dot(j, rho)) <= kPivotTol) continue;
         linalg::Vector d(m_, 0.0);
         for (const auto& [r, v] : cols_[j]) d[r] = v;
         solve_ftran(d, /*entering=*/true);
@@ -984,9 +1006,9 @@ class RevisedSimplex {
       // 0 (sense) rhs: decide feasibility outright, to the same
       // tolerance phase 1 would apply to the residual.
       const bool ok = c.sense == Sense::kEq
-                          ? std::abs(c.rhs) <= opt_.feas_tol
-                          : c.sense == Sense::kLe ? c.rhs >= -opt_.feas_tol
-                                                  : c.rhs <= opt_.feas_tol;
+                          ? std::abs(c.rhs) <= kFeasTol
+                          : c.sense == Sense::kLe ? c.rhs >= -kFeasTol
+                                                  : c.rhs <= kFeasTol;
       if (!ok) return false;
       keep = 0;
       return true;
@@ -998,10 +1020,10 @@ class RevisedSimplex {
       // x_var <= bound: infeasible against x >= 0 when bound < 0
       // (beyond the feasibility tolerance; a within-tolerance negative
       // bound clamps to "fixed at zero").
-      if (bound < -opt_.feas_tol) return false;
+      if (bound < -kFeasTol) return false;
       upper_struct_[var] = std::min(upper_struct_[var], std::max(bound, 0.0));
       keep = 0;
-    } else if (bound <= opt_.feas_tol) {
+    } else if (bound <= kFeasTol) {
       keep = 0;  // x_var >= bound <~ 0: implied by nonnegativity
     }
     // Positive lower bounds are not representable; keep the row.
@@ -1030,8 +1052,7 @@ class RevisedSimplex {
     };
     // Attractive = can improve the objective moving off its bound.
     const auto attractive = [&](std::size_t j, double rc) {
-      return at_upper_[j] ? rc > opt_.reduced_cost_tol
-                          : rc < -opt_.reduced_cost_tol;
+      return at_upper_[j] ? rc > kReducedCostTol : rc < -kReducedCostTol;
     };
     if (bland) {
       for (std::size_t j = 0; j < first_artificial_; ++j) {
@@ -1084,10 +1105,10 @@ class RevisedSimplex {
   /// block movement *upward* (their upper bound is zero), which keeps
   /// phase 2 from re-entering infeasibility through a redundant row.
   double leave_ratio(std::size_t i, double delta, bool artificial_cap) const {
-    if (delta > opt_.pivot_tol) {
+    if (delta > kPivotTol) {
       return std::max(xb_[i], 0.0) / delta;
     }
-    if (delta < -opt_.pivot_tol) {
+    if (delta < -kPivotTol) {
       const std::size_t b = basis_[i];
       if (artificial_cap && is_artificial(b)) {
         return std::max(-xb_[i], 0.0) / -delta;
@@ -1205,8 +1226,8 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
       engine.recompute_xb();
       if (engine.dual_infeasibility() <= 1e-6) {
         RevisedSimplex::PhaseResult dres = {LpStatus::kOptimal, 0};
-        if (engine.primal_infeasibility() > opt.feas_tol) {
-          dres = engine.dual(opt.max_dual_iterations);
+        if (engine.primal_infeasibility() > kFeasTol) {
+          dres = engine.dual();
           sol.iterations += dres.iterations;
         }
         if (dres.status == LpStatus::kNumericalFailure ||
@@ -1285,11 +1306,11 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
       engine.cap_artificials();
       engine.recompute_xb();
       bool dual_ok = true;
-      if (engine.primal_infeasibility() > opt.feas_tol) {
+      if (engine.primal_infeasibility() > kFeasTol) {
         dual_ok = engine.dual_infeasibility() <= 1e-6;
         if (dual_ok) {
           attempted = true;
-          const auto dres = engine.dual(opt.max_dual_iterations);
+          const auto dres = engine.dual();
           sol.iterations += dres.iterations;
           if (dres.status == LpStatus::kNumericalFailure ||
               dres.status == LpStatus::kDeadline) {
@@ -1350,7 +1371,7 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
       sol.note = r1.note;
       return sol;
     }
-    if (engine.phase1_objective() > opt.feas_tol) {
+    if (engine.phase1_objective() > kFeasTol) {
       sol.status = LpStatus::kInfeasible;
       return sol;
     }
@@ -1434,7 +1455,7 @@ LpSolution solve_revised_simplex(const LpProblem& problem,
   if (options.presolve && (warm == nullptr || warm->empty()) &&
       options.crash_columns == nullptr) {
     Presolve ps;
-    const PresolveStatus pst = ps.reduce(problem, options.feas_tol);
+    const PresolveStatus pst = ps.reduce(problem, kFeasTol);
     if (pst != PresolveStatus::kUnchanged) {
       LpSolution out;
       if (pst == PresolveStatus::kInfeasible) {
@@ -1466,35 +1487,6 @@ LpSolution solve_revised_simplex(const LpProblem& problem,
 
   LpSolution sol = solve_once(problem, options, warm, basis_out);
   audit_finite(sol);
-  if (sol.status != LpStatus::kIterationLimit) {
-    if (options.stats != nullptr) {
-      options.stats->solve_ms = now_ms() - t0;
-      options.stats->iterations = sol.iterations;
-    }
-    g_pivots_executed.fetch_add(sol.iterations, std::memory_order_relaxed);
-    return sol;
-  }
-
-  // Degeneracy stall: retry cold on deterministically perturbed copies,
-  // the same remedy (and helper) the dense tableau uses.
-  for (const double eps : {1e-11, 1e-9, 1e-7}) {
-    const LpProblem copy = perturbed_copy(problem, eps);
-    LpSolution retry = solve_once(copy, options, nullptr, basis_out);
-    audit_finite(retry);
-    if (retry.status != LpStatus::kIterationLimit) {
-      LpSolution out = retry;
-      if (out.status == LpStatus::kOptimal) {
-        out.objective = problem.objective(out.x);
-      }
-      out.iterations += sol.iterations;
-      if (options.stats != nullptr) {
-        options.stats->solve_ms = now_ms() - t0;
-        options.stats->iterations = out.iterations;
-      }
-      g_pivots_executed.fetch_add(out.iterations, std::memory_order_relaxed);
-      return out;
-    }
-  }
   if (options.stats != nullptr) {
     options.stats->solve_ms = now_ms() - t0;
     options.stats->iterations = sol.iterations;

@@ -95,30 +95,10 @@ struct SweepTelemetry {
 };
 SweepTelemetry sweep_telemetry() noexcept;
 
+/// The per-call choices.  Tolerances, pivot budgets and the
+/// refactorization trigger are fixed constants of the engine (listed
+/// with their values in src/lp/README.md).
 struct RevisedSimplexOptions {
-  std::size_t max_iterations = 20000;
-  double pivot_tol = 1e-8;        // reject smaller ratio-test pivots
-  double reduced_cost_tol = 1e-9;
-  double feas_tol = 1e-7;         // phase-1 residual accepted as feasible
-  /// Hard cap on Forrest-Tomlin updates between refactorizations.  The
-  /// effective trigger is usually the amortized rule in
-  /// BasisFactorization (extra sweep work since the last
-  /// refactorization exceeds `refactor_work_ratio` times that
-  /// refactorization's measured work), which self-balances cheap
-  /// factorizations against heavily filling ones; this cap only bounds
-  /// numerical drift on extreme instances.
-  std::size_t refactor_interval = 1024;
-  /// Amortized refactorization threshold (see
-  /// BasisFactorization::needs_refactor): refactorize once the update
-  /// transforms have cost `refactor_work_ratio` times as much extra
-  /// sweep work as rebuilding would.  1.0 is the classic
-  /// pay-as-much-as-a-rebuild balance; <= 0 falls back to the fixed
-  /// interval alone.  The eta-file design used a fill ratio instead
-  /// (eta nonzeros vs factor nonzeros) because it could not price a
-  /// rebuild — the work-based rule both refactorizes ~3x less often on
-  /// cheap bases and keeps sweeps near fresh-factor cost on heavy
-  /// ones.
-  double refactor_work_ratio = 1.0;
   /// Columns per partial-pricing section (Dantzig over rotating
   /// sections; Bland's rule on stalls); 0 picks a size proportional to
   /// sqrt(#columns) (at least 256).  A full scan touches every column's
@@ -136,14 +116,6 @@ struct RevisedSimplexOptions {
   /// primal/dual solution plus a warm-startable basis.  Warm starts
   /// always bypass it (the supplied basis spans the full problem).
   bool presolve = true;
-  /// Switch to Bland's rule after this many non-improving iterations.
-  std::size_t stall_limit = 64;
-  /// Abort (caller retries perturbed) after this many non-improving
-  /// Bland iterations.
-  std::size_t bland_stall_abort = 2000;
-  /// Cap on dual-simplex pivots in a warm start before falling back to a
-  /// cold solve (warm starts are only worth it when they are short).
-  std::size_t max_dual_iterations = 1000;
   /// Optional instrumentation sink (bench harnesses); reset and filled
   /// by solve_revised_simplex when non-null.
   SimplexStats* stats = nullptr;
@@ -176,7 +148,8 @@ struct SimplexBasis {
 /// `warm` (optional) restarts from a previous basis; `basis_out`
 /// (optional) receives the final basis on optimal termination.  Both may
 /// be null; passing an incompatible warm basis silently falls back to a
-/// cold solve.
+/// cold solve.  A degenerate stall that outlasts Bland's rule ends in
+/// kIterationLimit, which robust::SolveSupervisor escalates.
 LpSolution solve_revised_simplex(const LpProblem& problem,
                                  const RevisedSimplexOptions& options = {},
                                  const SimplexBasis* warm = nullptr,

@@ -10,6 +10,19 @@ namespace dpm::lp {
 
 namespace {
 
+// The tableau's one configuration.
+constexpr std::size_t kMaxIterations = 20000;  // pivot budget per phase
+constexpr double kPivotTol = 1e-8;  // reject smaller pivot elements
+constexpr double kReducedCostTol = 1e-9;
+constexpr double kFeasTol = 1e-7;  // phase-1 residual accepted as feasible
+// Switch from Dantzig pricing to Bland's rule after this many
+// iterations without objective improvement (anti-cycling).
+constexpr std::size_t kStallLimit = 64;
+// End the phase with kIterationLimit after this many non-improving
+// iterations in Bland mode, far cheaper than grinding a degenerate
+// basis to the full iteration budget.
+constexpr std::size_t kBlandStallAbort = 2000;
+
 // Dense two-phase tableau.  Sized for the MDP balance-equation LPs this
 // library produces (a few hundred rows, a few thousand columns).
 // Constraint coefficients live in rows_; right-hand sides in rhs_; the
@@ -17,7 +30,7 @@ namespace {
 // obj*_rhs_.
 class Tableau {
  public:
-  Tableau(const LpProblem& p, const SimplexOptions& opt) : opt_(opt) {
+  explicit Tableau(const LpProblem& p) {
     const std::size_t m = p.num_constraints();
     n_orig_ = p.num_variables();
 
@@ -104,7 +117,7 @@ class Tableau {
         return sol;
       }
       // Phase-1 optimum is -obj1_rhs_; feasible iff it is ~0.
-      if (-obj1_rhs_ > opt_.feas_tol) {
+      if (-obj1_rhs_ > kFeasTol) {
         sol.status = LpStatus::kInfeasible;
         return sol;
       }
@@ -124,7 +137,7 @@ class Tableau {
     }
     // Clip the tiny negatives that tableau arithmetic can leave behind.
     for (double& v : sol.x) {
-      if (v < 0.0 && v > -opt_.feas_tol) v = 0.0;
+      if (v < 0.0 && v > -kFeasTol) v = 0.0;
     }
     sol.objective = p.objective(sol.x);
     return sol;
@@ -156,18 +169,18 @@ class Tableau {
     bool bland = false;
     double best = std::numeric_limits<double>::infinity();
 
-    while (iters < opt_.max_iterations) {
+    while (iters < kMaxIterations) {
       if (robust::deadline_expired()) {
         return {LpStatus::kDeadline, iters};
       }
       // --- entering column ---
       std::size_t enter = kNoBasis;
-      double most_negative = -opt_.reduced_cost_tol;
+      double most_negative = -kReducedCostTol;
       for (std::size_t j = 0; j < n_total_; ++j) {
         if (!column_usable(j, block_artificials)) continue;
         const double rc = obj[j];
         if (bland) {
-          if (rc < -opt_.reduced_cost_tol) {
+          if (rc < -kReducedCostTol) {
             enter = j;
             break;
           }
@@ -188,7 +201,7 @@ class Tableau {
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < rows_.size(); ++i) {
         const double a = rows_[i][enter];
-        if (a <= opt_.pivot_tol) continue;
+        if (a <= kPivotTol) continue;
         best_ratio = std::min(best_ratio, rhs_[i] / a);
       }
       if (best_ratio == std::numeric_limits<double>::infinity()) {
@@ -199,7 +212,7 @@ class Tableau {
       const double ratio_cut = best_ratio + 1e-9 * (1.0 + std::abs(best_ratio));
       for (std::size_t i = 0; i < rows_.size(); ++i) {
         const double a = rows_[i][enter];
-        if (a <= opt_.pivot_tol) continue;
+        if (a <= kPivotTol) continue;
         if (rhs_[i] / a > ratio_cut) continue;
         if (bland) {
           if (leave == kNoBasis || basis_[i] < basis_[leave]) leave = i;
@@ -216,8 +229,7 @@ class Tableau {
       if (cur < best - 1e-12) {
         best = cur;
         stall = 0;
-      } else if (++stall >= (bland ? opt_.bland_stall_abort
-                                   : opt_.stall_limit)) {
+      } else if (++stall >= (bland ? kBlandStallAbort : kStallLimit)) {
         if (bland) {
           return {LpStatus::kIterationLimit, iters};
         }
@@ -273,7 +285,7 @@ class Tableau {
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       if (basis_[i] < first_artificial_) continue;
       for (std::size_t j = 0; j < first_artificial_; ++j) {
-        if (std::abs(rows_[i][j]) > opt_.pivot_tol) {
+        if (std::abs(rows_[i][j]) > kPivotTol) {
           pivot(i, j, obj1_, obj1_rhs_);
           break;
         }
@@ -281,7 +293,6 @@ class Tableau {
     }
   }
 
-  SimplexOptions opt_;
   std::size_t n_orig_ = 0;
   std::size_t n_total_ = 0;
   std::size_t first_artificial_ = 0;
@@ -294,35 +305,17 @@ class Tableau {
 
 }  // namespace
 
-LpSolution solve_simplex(const LpProblem& problem,
-                         const SimplexOptions& options) {
+LpSolution solve_simplex(const LpProblem& problem) {
   if (problem.num_variables() == 0) {
     throw LpError("simplex: problem has no variables");
   }
   if (problem.has_finite_upper_bounds()) {
     // The tableau has no native bound handling; solve the explicit-row
     // reformulation (same variables, same objective).
-    return solve_simplex(bounds_as_rows(problem), options);
+    return solve_simplex(bounds_as_rows(problem));
   }
-  {
-    Tableau t(problem, options);
-    LpSolution sol = t.run(problem);
-    if (sol.status != LpStatus::kIterationLimit) return sol;
-  }
-  // Degeneracy stall: retry on perturbed copies with growing epsilon.
-  LpSolution last;
-  for (const double eps : {1e-11, 1e-9, 1e-7}) {
-    const LpProblem p = perturbed_copy(problem, eps);
-    Tableau t(p, options);
-    last = t.run(p);
-    if (last.status != LpStatus::kIterationLimit) {
-      if (last.status == LpStatus::kOptimal) {
-        last.objective = problem.objective(last.x);
-      }
-      return last;
-    }
-  }
-  return last;
+  Tableau t(problem);
+  return t.run(problem);
 }
 
 }  // namespace dpm::lp

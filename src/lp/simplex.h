@@ -14,22 +14,8 @@
 
 namespace dpm::lp {
 
-struct SimplexOptions {
-  std::size_t max_iterations = 20000;
-  double pivot_tol = 1e-8;       // reject smaller pivot elements
-  double reduced_cost_tol = 1e-9;
-  double feas_tol = 1e-7;        // phase-1 residual accepted as feasible
-  /// Switch from Dantzig pricing to Bland's rule after this many
-  /// iterations without objective improvement (anti-cycling).
-  std::size_t stall_limit = 64;
-  /// Give up (and let the caller retry on a perturbed copy) after this
-  /// many non-improving iterations in Bland mode — far cheaper than
-  /// grinding a degenerate basis to the full iteration budget.
-  std::size_t bland_stall_abort = 2000;
-};
-
-/// Solves `problem` with the two-phase simplex method.
-LpSolution solve_simplex(const LpProblem& problem,
-                         const SimplexOptions& options = {});
+/// Solves `problem` with the two-phase simplex method.  A degenerate
+/// stall that outlasts Bland's rule ends in kIterationLimit.
+LpSolution solve_simplex(const LpProblem& problem);
 
 }  // namespace dpm::lp

@@ -1,4 +1,4 @@
-// Solver facade: one entry point, selectable backend.
+// Backend selector for the supervised solve path.
 //
 // See src/lp/README.md for the backend table and the warm-start
 // contract.
@@ -10,7 +10,8 @@
 
 namespace dpm::lp {
 
-/// Which LP algorithm `solve()` dispatches to.
+/// Which LP algorithm a supervised solve (robust::SolveSupervisor,
+/// OptimizerConfig::backend) runs on its first rungs.
 enum class Backend {
   /// Sparse revised simplex (the default, and the backend behind
   /// `PolicyOptimizer`): two-phase primal plus a boxed dual simplex,
@@ -22,16 +23,5 @@ enum class Backend {
   /// supervisor's last recovery rung.
   kSimplex,
 };
-
-/// Solves `problem` with the requested backend.  Both backends share
-/// the `LpSolution`/`LpStatus` contract and agree on feasible bounded
-/// instances to ~1e-6 (enforced by tests/test_lp_agreement.cpp).
-/// Callers that need warm starts, per-solve stats, or non-default
-/// options use `solve_revised_simplex` directly.
-inline LpSolution solve(const LpProblem& problem,
-                        Backend backend = Backend::kRevisedSimplex) {
-  if (backend == Backend::kSimplex) return solve_simplex(problem);
-  return solve_revised_simplex(problem);
-}
 
 }  // namespace dpm::lp

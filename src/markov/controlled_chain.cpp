@@ -5,31 +5,11 @@
 namespace dpm::markov {
 
 ControlledMarkovChain::ControlledMarkovChain(
-    std::vector<linalg::Matrix> per_command, double tol)
-    : sparse_(SparseControlledChain::from_dense(per_command, tol)) {
-  // The caller already paid for the dense matrices: keep them as the
-  // dense cache instead of re-densifying on the first matrix() call.
-  dense_cache_.reserve(per_command.size());
-  for (linalg::Matrix& m : per_command) {
-    dense_cache_.push_back(std::make_unique<linalg::Matrix>(std::move(m)));
-  }
-}
+    const std::vector<linalg::Matrix>& per_command, double tol)
+    : sparse_(SparseControlledChain::from_dense(per_command, tol)) {}
 
 ControlledMarkovChain::ControlledMarkovChain(SparseControlledChain chain)
     : sparse_(std::move(chain)) {}
-
-const linalg::Matrix& ControlledMarkovChain::matrix(
-    std::size_t command) const {
-  if (command >= num_commands()) {
-    throw MarkovError("ControlledMarkovChain: command index out of range");
-  }
-  if (dense_cache_.empty()) dense_cache_.resize(num_commands());
-  std::unique_ptr<linalg::Matrix>& slot = dense_cache_[command];
-  if (slot == nullptr) {
-    slot = std::make_unique<linalg::Matrix>(sparse_.to_dense(command));
-  }
-  return *slot;
-}
 
 MarkovChain ControlledMarkovChain::under_policy(
     const linalg::Matrix& policy) const {

@@ -1,7 +1,6 @@
 // Controlled (command-dependent) Markov chains, paper Section III-A.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "markov/markov_chain.h"
@@ -13,35 +12,21 @@ namespace dpm::markov {
 /// command (the representation the paper adopts for the SP and for the
 /// composed system).
 ///
-/// Storage is sparse-first: the CSR SparseControlledChain is the primary
-/// representation every hot path consumes (`sparse()` / `row()`); dense
-/// per-command matrices are materialized lazily, one command at a time,
-/// only when a reference path asks via `matrix()`.
+/// Storage is sparse only: the CSR SparseControlledChain every path
+/// consumes (`sparse()` / `row()`).  A dense view of one command is
+/// `sparse().to_dense(command)`.
 ///
 /// Invariant: all commands share one order; every row is stochastic
 /// (validated at construction).
 class ControlledMarkovChain {
  public:
   /// From dense matrices (reference construction; validates and converts
-  /// to CSR, keeping the provided matrices as the dense cache).
-  explicit ControlledMarkovChain(std::vector<linalg::Matrix> per_command,
-                                 double tol = 1e-9);
+  /// to CSR, keeping no dense copy).
+  explicit ControlledMarkovChain(
+      const std::vector<linalg::Matrix>& per_command, double tol = 1e-9);
 
-  /// From an already-validated sparse chain.  No densification happens
-  /// unless `matrix()` is called.
+  /// From an already-validated sparse chain.
   explicit ControlledMarkovChain(SparseControlledChain chain);
-
-  // Copies share no state; the dense cache is dropped (it re-materializes
-  // on demand) so copying stays cheap for sparse-only chains.
-  ControlledMarkovChain(const ControlledMarkovChain& other)
-      : sparse_(other.sparse_) {}
-  ControlledMarkovChain& operator=(const ControlledMarkovChain& other) {
-    sparse_ = other.sparse_;
-    dense_cache_.clear();
-    return *this;
-  }
-  ControlledMarkovChain(ControlledMarkovChain&&) = default;
-  ControlledMarkovChain& operator=(ControlledMarkovChain&&) = default;
 
   std::size_t num_states() const noexcept { return sparse_.num_states(); }
   std::size_t num_commands() const noexcept {
@@ -55,11 +40,6 @@ class ControlledMarkovChain {
   TransitionRowView row(std::size_t command, std::size_t state) const {
     return sparse_.row(command, state);
   }
-
-  /// Dense view of one command's matrix.  Densified on first use and
-  /// cached; reference paths and small models only — O(n^2) memory per
-  /// command.
-  const linalg::Matrix& matrix(std::size_t command) const;
 
   double transition(std::size_t from, std::size_t to,
                     std::size_t command) const {
@@ -75,9 +55,6 @@ class ControlledMarkovChain {
 
  private:
   SparseControlledChain sparse_;
-  // Lazy per-command dense cache (nullptr until requested).  unique_ptr
-  // keeps `matrix()` references stable across cache growth.
-  mutable std::vector<std::unique_ptr<linalg::Matrix>> dense_cache_;
 };
 
 }  // namespace dpm::markov

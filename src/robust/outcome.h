@@ -28,7 +28,7 @@ namespace dpm::robust {
 enum class FailureReason : std::uint8_t {
   kSingularBasis = 0,   ///< refactorization failed; basis numerically wedged
   kNonFinite,           ///< NaN/Inf detected mid-solve (data or injection)
-  kIterationLimit,      ///< pivot budget exhausted, perturbed retries included
+  kIterationLimit,      ///< pivot budget exhausted, or a Bland stall abandoned
   kDeadlineExpired,     ///< cooperative per-unit wall-clock deadline hit
   kInvariantViolation,  ///< internal invariant check tripped (verify builds)
   kBadModel,            ///< malformed input; retrying cannot help

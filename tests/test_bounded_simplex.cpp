@@ -7,7 +7,8 @@
 #include <limits>
 #include <random>
 
-#include "lp/solver.h"
+#include "lp/revised_simplex.h"
+#include "lp/simplex.h"
 
 namespace dpm::lp {
 namespace {

@@ -38,8 +38,8 @@ TEST(DiskDrive, ComposedModelHas66States) {
   const SystemModel m = DiskDrive::make_model();
   EXPECT_EQ(m.num_states(), 66u);  // 11 x 2 x 3, as in the paper
   for (std::size_t a = 0; a < m.num_commands(); ++a) {
-    EXPECT_NO_THROW(
-        markov::validate_stochastic(m.chain().matrix(a), "disk", 1e-9));
+    EXPECT_NO_THROW(markov::validate_stochastic(
+        m.chain().sparse().to_dense(a), "disk", 1e-9));
   }
 }
 
@@ -165,8 +165,8 @@ TEST(Cpu, ComposedModelShape) {
   EXPECT_EQ(m.num_states(), 6u);  // 3 SP x 2 SR, no queue
   EXPECT_EQ(m.num_commands(), 2u);
   for (std::size_t a = 0; a < 2; ++a) {
-    EXPECT_NO_THROW(
-        markov::validate_stochastic(m.chain().matrix(a), "cpu", 1e-9));
+    EXPECT_NO_THROW(markov::validate_stochastic(
+        m.chain().sparse().to_dense(a), "cpu", 1e-9));
   }
 }
 

@@ -89,6 +89,16 @@ TEST_P(GoldenScenario, MatchesCheckedInBaseline) {
       scenario::compare_records(*sc, baseline, res.records);
   EXPECT_TRUE(report.ok()) << scenario::format_report(report);
   EXPECT_EQ(report.compared, baseline.size());
+
+  // Pivot counts are deterministic, so this tier holds every record's
+  // `iterations` exactly; the comparator's tolerances above only catch
+  // blow-ups, which is what a bench-grade --compare run wants.
+  ASSERT_EQ(res.records.size(), baseline.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    EXPECT_EQ(res.records[i].name, baseline[i].name);
+    EXPECT_EQ(res.records[i].iterations, baseline[i].iterations)
+        << sc->name << " record \"" << baseline[i].name << "\"";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, GoldenScenario,

@@ -1,7 +1,7 @@
-// Unit tests for the LP solvers and the backend facade.
+// Unit tests for LpProblem and the dense tableau solver.
 #include <gtest/gtest.h>
 
-#include "lp/solver.h"
+#include "lp/simplex.h"
 
 namespace dpm::lp {
 namespace {
@@ -155,15 +155,6 @@ TEST(Simplex, RedundantEqualityRowsAreHarmless) {
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.objective, 0.0, 1e-9);
   EXPECT_NEAR(s.x[1], 2.0, 1e-9);
-}
-
-TEST(SolverFacade, DispatchesBackends) {
-  const LpProblem p = box_problem();
-  const LpSolution a = solve(p, Backend::kSimplex);
-  const LpSolution b = solve(p, Backend::kRevisedSimplex);
-  ASSERT_EQ(a.status, LpStatus::kOptimal);
-  ASSERT_EQ(b.status, LpStatus::kOptimal);
-  EXPECT_NEAR(a.objective, b.objective, 1e-9);
 }
 
 }  // namespace

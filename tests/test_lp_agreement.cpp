@@ -9,7 +9,8 @@
 #include <cmath>
 #include <random>
 
-#include "lp/solver.h"
+#include "lp/revised_simplex.h"
+#include "lp/simplex.h"
 
 namespace dpm::lp {
 namespace {
@@ -247,15 +248,6 @@ TEST(RevisedSimplex, RedundantEqualityRowsAreHarmless) {
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.objective, 0.0, 1e-9);
   EXPECT_NEAR(s.x[1], 2.0, 1e-9);
-}
-
-TEST(SolverFacade, DispatchesRevisedSimplex) {
-  std::mt19937_64 gen(9);
-  const LpProblem p = random_feasible(gen);
-  const LpSolution a = solve(p, Backend::kRevisedSimplex);
-  const LpSolution b = solve(p, Backend::kSimplex);
-  ASSERT_EQ(a.status, LpStatus::kOptimal);
-  EXPECT_NEAR(a.objective, b.objective, kTol * (1.0 + std::abs(b.objective)));
 }
 
 }  // namespace

@@ -174,20 +174,21 @@ TEST(SparseChain, SparseOccupancyMatchesDenseSolve) {
   }
 }
 
-TEST(SparseChain, LazyDenseMatrixMatchesSparse) {
+TEST(SparseChain, DenseViewMatchesSparse) {
   std::mt19937_64 gen(5);
   const auto dense = random_dense_chain(9, 2, 3, gen);
   ControlledMarkovChain sparse_first{
       SparseControlledChain::from_dense(dense)};
   for (std::size_t a = 0; a < 2; ++a) {
-    EXPECT_NEAR(
-        linalg::Matrix::max_abs_diff(sparse_first.matrix(a), dense[a]), 0.0,
-        1e-15);
+    EXPECT_NEAR(linalg::Matrix::max_abs_diff(
+                    sparse_first.sparse().to_dense(a), dense[a]),
+                0.0, 1e-15);
   }
-  // Copies drop the cache but keep the chain.
+  // Copies keep the chain.
   const ControlledMarkovChain copy = sparse_first;
-  EXPECT_NEAR(linalg::Matrix::max_abs_diff(copy.matrix(1), dense[1]), 0.0,
-              1e-15);
+  EXPECT_NEAR(
+      linalg::Matrix::max_abs_diff(copy.sparse().to_dense(1), dense[1]), 0.0,
+      1e-15);
 }
 
 // ---------------------------------------------------------------------
@@ -212,13 +213,17 @@ TEST(SparseChain, BuildLpMatchesDenseReferenceFormulation) {
 
   // Dense reference: balance coefficient of x_{s,a} in row j is
   // [s == j] - gamma * P_a(s, j), assembled from the densified chain.
+  std::vector<linalg::Matrix> dense;
+  for (std::size_t a = 0; a < na; ++a) {
+    dense.push_back(model.chain().sparse().to_dense(a));
+  }
   for (std::size_t j = 0; j < n; ++j) {
     linalg::Vector row(n * na, 0.0);
     for (const auto& [col, v] : lp.constraints()[j].terms) row[col] = v;
     for (std::size_t s = 0; s < n; ++s) {
       for (std::size_t a = 0; a < na; ++a) {
         const double want = (s == j ? 1.0 : 0.0) -
-                            gamma * model.chain().matrix(a)(s, j);
+                            gamma * dense[a](s, j);
         EXPECT_NEAR(row[s * na + a], want, 1e-12)
             << "row " << j << " col (" << s << "," << a << ")";
       }

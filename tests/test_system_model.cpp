@@ -237,8 +237,8 @@ TEST(Compose, IndexRoundTrip) {
 TEST(Compose, MatricesAreStochastic) {
   const SystemModel m = ExampleSystem::make_model();
   for (std::size_t a = 0; a < m.num_commands(); ++a) {
-    EXPECT_NO_THROW(
-        markov::validate_stochastic(m.chain().matrix(a), "composed", 1e-9));
+    EXPECT_NO_THROW(markov::validate_stochastic(
+        m.chain().sparse().to_dense(a), "composed", 1e-9));
   }
 }
 
@@ -305,8 +305,8 @@ TEST(Compose, OverrideChangesDynamics) {
                      0.0);
   }
   // Still row-stochastic.
-  EXPECT_NO_THROW(
-      markov::validate_stochastic(m.chain().matrix(0), "override", 1e-9));
+  EXPECT_NO_THROW(markov::validate_stochastic(
+      m.chain().sparse().to_dense(0), "override", 1e-9));
 }
 
 TEST(Compose, NonStochasticOverrideRejected) {
