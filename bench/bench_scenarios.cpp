@@ -38,9 +38,7 @@
 //   bench_scenarios --unit-deadline-ms X   # cooperative per-unit
 //                                          # wall-clock deadline
 //   bench_scenarios --unit-retries N       # re-run a failed unit up to
-//                                          # N more times
-//   bench_scenarios --retry-backoff-ms X   # sleep attempt*X ms between
-//                                          # retry attempts
+//                                          # N more times, immediately
 //
 // Determinism contract: all randomness derives from (scenario name,
 // unit index), and results are assembled in unit order, so stdout and
@@ -93,7 +91,6 @@ struct CliOptions {
   std::optional<dpm::robust::FaultSpec> fault;  // --fault-inject SPEC
   double unit_deadline_ms = 0.0;     // --unit-deadline-ms (0 = none)
   std::size_t unit_retries = 0;      // --unit-retries
-  double retry_backoff_ms = 0.0;     // --retry-backoff-ms
 };
 
 bool parse_args(int argc, char** argv, CliOptions& opt) {
@@ -152,10 +149,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
       if (v == nullptr) return false;
       opt.unit_retries = static_cast<std::size_t>(
           std::strtoul(v, nullptr, 10));
-    } else if (arg == "--retry-backoff-ms") {
-      const char* v = next("--retry-backoff-ms");
-      if (v == nullptr) return false;
-      opt.retry_backoff_ms = std::strtod(v, nullptr);
     } else if (arg == "--jobs" || arg == "-j") {
       const char* v = next("--jobs");
       if (v == nullptr) return false;
@@ -465,7 +458,6 @@ int main(int argc, char** argv) {
   ropts.fault = opt.fault;
   ropts.unit_deadline_ms = opt.unit_deadline_ms;
   ropts.unit_retries = opt.unit_retries;
-  ropts.retry_backoff_ms = opt.retry_backoff_ms;
 
   const dpm::bench::WallTimer timer;
   const dpm::scenario::ExperimentRunner runner(ropts);

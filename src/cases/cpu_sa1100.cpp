@@ -42,7 +42,7 @@ ServiceProvider CpuSa1100::make_provider() {
 
 SpTransitionOverride CpuSa1100::make_override(const ServiceProvider& sp) {
   // Capture the baseline chain by value (matrices are small).
-  const markov::ControlledMarkovChain chain = sp.chain();
+  const markov::SparseControlledChain chain = sp.chain();
   return [chain](std::size_t from, std::size_t to, std::size_t command,
                  std::size_t sr_to) -> double {
     const bool requests_incoming = sr_to == 1;  // two-state SR: state 1

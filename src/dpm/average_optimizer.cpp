@@ -158,13 +158,13 @@ bool AverageCostOptimizer::support_is_single_class(
   // Strong connectivity of the support under the mixed chain: BFS both
   // ways from support.front(), restricted to support states, over the
   // sparse mixed rows (no dense n x n matrix).
-  std::vector<markov::TransitionRow> mixed;
-  model_->chain().sparse().under_policy_rows(result.policy->matrix(), mixed);
+  markov::MixedChainCsr mixed;
+  model_->chain().under_policy_csr(result.policy->matrix(), mixed);
   std::vector<char> in_support(n, 0);
   for (const std::size_t s : support) in_support[s] = 1;
   std::vector<std::vector<std::size_t>> fwd(n), rev(n);
   for (const std::size_t s : support) {
-    for (const auto& [t, w] : mixed[s]) {
+    for (const auto& [t, w] : mixed.row(s)) {
       if (w > 0.0 && in_support[t]) {
         fwd[s].push_back(t);
         rev[t].push_back(s);

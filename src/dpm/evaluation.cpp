@@ -30,7 +30,7 @@ PolicyEvaluation::PolicyEvaluation(const SystemModel& model,
   // dense n x n matrix, no factorization on large models.  Small
   // models take the exact LU route inside the evaluator.
   markov::MixedChainCsr mixed;
-  model.chain().sparse().under_policy_csr(policy.matrix(), mixed);
+  model.chain().under_policy_csr(policy.matrix(), mixed);
   markov::OccupancyWorkspace ws;
   occupancy_ = markov::discounted_occupancy_power(mixed, p0, gamma, ws);
 }

@@ -101,7 +101,7 @@ lp::LpProblem PolicyOptimizer::build_lp(
   // Assembled straight off the chain's CSR rows: each (s, a) pair
   // contributes its outgoing-flow term plus one term per stored
   // successor, so assembly is O(nnz), independent of n^2.
-  const markov::SparseControlledChain& chain = model_->chain().sparse();
+  const markov::SparseControlledChain& chain = model_->chain();
   std::vector<lp::Constraint> balance(n);
   for (std::size_t j = 0; j < n; ++j) {
     balance[j].sense = lp::Sense::kEq;
@@ -182,7 +182,7 @@ std::vector<std::size_t> PolicyOptimizer::crash_seed(
     return {};
   }
   const std::vector<std::size_t> actions = greedy_crash_actions(
-      model_->chain().sparse(), objective, config_.discount);
+      model_->chain(), objective, config_.discount);
   return crash_columns_for_lp(actions, model_->num_commands(),
                               problem.num_constraints());
 }

@@ -18,7 +18,7 @@ linalg::Vector evaluate_deterministic(const SystemModel& model,
                                       const linalg::Matrix& cost,
                                       double gamma) {
   const std::size_t n = model.num_states();
-  const markov::SparseControlledChain& chain = model.chain().sparse();
+  const markov::SparseControlledChain& chain = model.chain();
   const std::vector<linalg::SparseColumn> cols =
       markov::discounted_transposed_columns(n, gamma, [&](std::size_t s) {
         return chain.row(actions[s], s);

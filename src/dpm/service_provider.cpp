@@ -80,15 +80,14 @@ ServiceProvider ServiceProvider::Builder::build() && {
       if (!touched_[a][s]) p_[a](s, s) = 1.0;
     }
   }
-  markov::ControlledMarkovChain chain(std::move(p_));
   return ServiceProvider(std::move(commands_), std::move(names_),
-                         std::move(chain), std::move(rate_),
-                         std::move(power_));
+                         markov::SparseControlledChain::from_dense(p_),
+                         std::move(rate_), std::move(power_));
 }
 
 ServiceProvider::ServiceProvider(CommandSet commands,
                                  std::vector<std::string> names,
-                                 markov::ControlledMarkovChain chain,
+                                 markov::SparseControlledChain chain,
                                  linalg::Matrix rate, linalg::Matrix power)
     : commands_(std::move(commands)),
       names_(std::move(names)),

@@ -11,7 +11,7 @@
 
 #include "dpm/command_set.h"
 #include "linalg/matrix.h"
-#include "markov/controlled_chain.h"
+#include "markov/sparse_chain.h"
 
 namespace dpm {
 
@@ -54,7 +54,7 @@ class ServiceProvider {
 
   std::size_t num_states() const noexcept { return chain_.num_states(); }
   const CommandSet& commands() const noexcept { return commands_; }
-  const markov::ControlledMarkovChain& chain() const noexcept {
+  const markov::SparseControlledChain& chain() const noexcept {
     return chain_;
   }
 
@@ -83,12 +83,12 @@ class ServiceProvider {
 
  private:
   ServiceProvider(CommandSet commands, std::vector<std::string> names,
-                  markov::ControlledMarkovChain chain, linalg::Matrix rate,
+                  markov::SparseControlledChain chain, linalg::Matrix rate,
                   linalg::Matrix power);
 
   CommandSet commands_;
   std::vector<std::string> names_;
-  markov::ControlledMarkovChain chain_;
+  markov::SparseControlledChain chain_;
   linalg::Matrix rate_;
   linalg::Matrix power_;
 };

@@ -82,15 +82,14 @@ SystemModel SystemModel::compose(ServiceProvider sp, ServiceRequester sr,
   }
   // SparseControlledChain validates row-stochasticity of the composed
   // rows, which also catches non-stochastic overrides.
-  markov::ControlledMarkovChain chain(
-      markov::SparseControlledChain(n, std::move(rows), 1e-7));
+  markov::SparseControlledChain chain(n, std::move(rows), 1e-7);
   return SystemModel(std::move(sp), std::move(sr), queue_capacity,
                      std::move(chain), std::move(override_sp));
 }
 
 SystemModel::SystemModel(ServiceProvider sp, ServiceRequester sr,
                          std::size_t capacity,
-                         markov::ControlledMarkovChain chain,
+                         markov::SparseControlledChain chain,
                          SpTransitionOverride override_sp)
     : sp_(std::move(sp)),
       sr_(std::move(sr)),
@@ -170,7 +169,7 @@ linalg::Vector SystemModel::uniform_distribution() const {
 
 void SystemModel::hash_into(sim::Fnv1a& h) const {
   h.add_string("SystemModel");
-  chain_->sparse().hash_into(h);
+  chain_.hash_into(h);
   h.add_size(capacity_);
   const std::size_t n = num_states();
   const std::size_t na = num_commands();

@@ -15,13 +15,12 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "dpm/service_provider.h"
 #include "dpm/service_requester.h"
-#include "markov/controlled_chain.h"
+#include "markov/sparse_chain.h"
 #include "sim/hash.h"
 
 namespace dpm {
@@ -65,14 +64,14 @@ class SystemModel {
                              std::size_t queue_capacity,
                              SpTransitionOverride override_sp = nullptr);
 
-  std::size_t num_states() const noexcept { return chain_->num_states(); }
-  std::size_t num_commands() const noexcept { return chain_->num_commands(); }
+  std::size_t num_states() const noexcept { return chain_.num_states(); }
+  std::size_t num_commands() const noexcept { return chain_.num_commands(); }
   std::size_t queue_capacity() const noexcept { return capacity_; }
 
   const ServiceProvider& provider() const noexcept { return sp_; }
   const ServiceRequester& requester() const noexcept { return sr_; }
-  const markov::ControlledMarkovChain& chain() const noexcept {
-    return *chain_;
+  const markov::SparseControlledChain& chain() const noexcept {
+    return chain_;
   }
 
   /// Flat index <-> structured state.
@@ -113,14 +112,13 @@ class SystemModel {
 
  private:
   SystemModel(ServiceProvider sp, ServiceRequester sr, std::size_t capacity,
-              markov::ControlledMarkovChain chain,
+              markov::SparseControlledChain chain,
               SpTransitionOverride override_sp);
 
   ServiceProvider sp_;
   ServiceRequester sr_;
   std::size_t capacity_;
-  // optional<> only to allow member-wise construction order; always set.
-  std::optional<markov::ControlledMarkovChain> chain_;
+  markov::SparseControlledChain chain_;
   SpTransitionOverride override_;  // may be null (plain product form)
 };
 

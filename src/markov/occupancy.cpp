@@ -9,40 +9,47 @@ namespace dpm::markov {
 
 namespace {
 
-/// Direct solve M u = p0 with M = (I - gamma P)^T — the exact route,
-/// used below the size gate and as the non-convergence fallback.
-void occupancy_lu(const MixedChainCsr& chain, const linalg::Vector& p0,
-                  double gamma, linalg::Vector& u) {
-  const std::size_t n = chain.num_states();
-  const std::vector<linalg::SparseColumn> cols = discounted_transposed_columns(
-      n, gamma, [&chain](std::size_t j) { return chain.row(j); });
-  linalg::SparseLu lu;
-  if (!lu.factorize(n, cols)) {
-    throw MarkovError("discounted_occupancy: singular system");
-  }
-  u = p0;
-  lu.ftran(u);
-}
-
-}  // namespace
-
-const linalg::Vector& discounted_occupancy_power(const MixedChainCsr& chain,
-                                                 const linalg::Vector& p0,
-                                                 double gamma,
-                                                 OccupancyWorkspace& ws) {
-  const std::size_t n = chain.num_states();
+void check_arguments(std::size_t n, const linalg::Vector& p0,
+                     double gamma) {
   if (p0.size() != n) {
     throw MarkovError("discounted_occupancy: p0 size mismatch");
   }
   if (gamma <= 0.0 || gamma >= 1.0) {
     throw MarkovError("discounted_occupancy: gamma must be in (0,1)");
   }
+}
+
+}  // namespace
+
+linalg::Vector discounted_occupancy_lu(const MixedChainCsr& chain,
+                                       const linalg::Vector& p0,
+                                       double gamma) {
+  const std::size_t n = chain.num_states();
+  check_arguments(n, p0, gamma);
+  // u = p0 (I - gamma P)^{-1}  <=>  M u = p0 with M = (I - gamma P)^T.
+  const std::vector<linalg::SparseColumn> cols = discounted_transposed_columns(
+      n, gamma, [&chain](std::size_t j) { return chain.row(j); });
+  linalg::SparseLu lu;
+  if (!lu.factorize(n, cols)) {
+    throw MarkovError("discounted_occupancy: singular system");
+  }
+  linalg::Vector u = p0;
+  lu.ftran(u);
+  return u;
+}
+
+const linalg::Vector& discounted_occupancy_power(const MixedChainCsr& chain,
+                                                 const linalg::Vector& p0,
+                                                 double gamma,
+                                                 OccupancyWorkspace& ws) {
+  const std::size_t n = chain.num_states();
+  check_arguments(n, p0, gamma);
   ws.iterations = 0;
   ws.delta = 0.0;
   ws.used_lu = false;
   if (n < kPowerMinStates) {
     ws.used_lu = true;
-    occupancy_lu(chain, p0, gamma, ws.u);
+    ws.u = discounted_occupancy_lu(chain, p0, gamma);
     return ws.u;
   }
 
@@ -92,7 +99,7 @@ const linalg::Vector& discounted_occupancy_power(const MixedChainCsr& chain,
   }
   // Slowly mixing chain: hand the system to the exact solver.
   ws.used_lu = true;
-  occupancy_lu(chain, p0, gamma, ws.u);
+  ws.u = discounted_occupancy_lu(chain, p0, gamma);
   return ws.u;
 }
 

@@ -1,11 +1,12 @@
-// O(nnz * iters) discounted-occupancy evaluation.
+// Discounted-occupancy evaluation over a policy-mixed chain: one exact
+// sparse-LU solve and the O(nnz * iters) power accumulation built on it.
 //
 // The LP pipeline and the scenario harness evaluate many policies
 // against one model: mix the per-command CSR rows under a policy, then
 // compute u = p0 (I - gamma P_pi)^{-1}.  The LU route costs a full
 // sparse factorization per policy — at n*na = 56k that is seconds per
-// evaluation, and the factor is dense-tail dominated.  This header
-// replaces it with power accumulation,
+// evaluation, and the factor is dense-tail dominated.  The power path
+// replaces it with accumulation,
 //
 //   u = sum_{k<K} gamma^k p0 P^k  +  gamma^K / (1 - gamma) * x_K,
 //
@@ -20,7 +21,7 @@
 // Small systems and non-converging chains fall back to the exact LU
 // solve: below kPowerMinStates a factorization is cheaper than ~100
 // power iterations, and a chain that has not met the error bound after
-// kMaxIters (slowly mixing + gamma near 1) is handed to the direct
+// kPowerMaxIters (slowly mixing + gamma near 1) is handed to the direct
 // solver rather than iterated forever.
 #pragma once
 
@@ -31,27 +32,10 @@
 
 namespace dpm::markov {
 
-/// Policy-mixed chain in fused CSR form: row s of P_pi occupies
-/// entries [row_ptr[s], row_ptr[s+1]) with unique sorted successors.
-/// Produced by SparseControlledChain::under_policy_csr, which reuses
-/// the arrays' capacity across policies.
-struct MixedChainCsr {
-  std::vector<std::size_t> row_ptr;  // size n + 1 (empty before first mix)
-  std::vector<std::pair<std::size_t, double>> entries;
-
-  std::size_t num_states() const noexcept {
-    return row_ptr.empty() ? 0 : row_ptr.size() - 1;
-  }
-  TransitionRowView row(std::size_t s) const noexcept {
-    return TransitionRowView(entries.data() + row_ptr[s],
-                             row_ptr[s + 1] - row_ptr[s]);
-  }
-};
-
 /// Reusable state for discounted_occupancy_power.  `u` holds the last
 /// result; `iterations`, `delta`, and `used_lu` describe how it was
-/// obtained (used_lu covers both the small-size gate and the kMaxIters
-/// safety fallback).
+/// obtained (used_lu covers both the small-size gate and the
+/// kPowerMaxIters safety fallback).
 struct OccupancyWorkspace {
   linalg::Vector x;
   linalg::Vector xn;
@@ -70,11 +54,24 @@ inline constexpr std::size_t kPowerMaxIters = 20000;
 /// analysis in occupancy.cpp): delta * gamma^k / (1 - gamma)^2.
 inline constexpr double kPowerTol = 1e-12;
 
+/// Exact discounted occupancy u = p0 (I - gamma P)^{-1} over a fused
+/// mixed chain: u_s is the expected discounted number of visits to s.
+/// Solves (I - gamma P)^T u = p0 with the sparse LU, whose columns are
+/// the chain's CSR rows (discounted_transposed_columns).  The power
+/// path's small-size and non-convergence route, and the tests'
+/// reference.  Throws MarkovError on bad gamma/p0 shape or a singular
+/// system (which cannot happen for a stochastic P and gamma < 1 unless
+/// rows are malformed).
+linalg::Vector discounted_occupancy_lu(const MixedChainCsr& chain,
+                                       const linalg::Vector& p0,
+                                       double gamma);
+
 /// Discounted occupancy u = p0 (I - gamma P)^{-1} over a fused mixed
-/// chain.  Returns a reference to ws.u; the workspace owns all scratch
-/// and is reused across calls (zero steady-state allocations on the
-/// power path).  Throws MarkovError on bad gamma/p0 shape or (via the
-/// LU fallback) a singular system.
+/// chain, by power accumulation (discounted_occupancy_lu below
+/// kPowerMinStates or past kPowerMaxIters).  Returns a reference to
+/// ws.u; the workspace owns all scratch and is reused across calls (zero
+/// steady-state allocations on the power path).  Throws what
+/// discounted_occupancy_lu throws.
 const linalg::Vector& discounted_occupancy_power(const MixedChainCsr& chain,
                                                  const linalg::Vector& p0,
                                                  double gamma,

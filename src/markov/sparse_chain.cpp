@@ -4,30 +4,28 @@
 #include <cmath>
 #include <string>
 
-#include "linalg/sparse_lu.h"
-#include "markov/occupancy.h"
-
 namespace dpm::markov {
 
 namespace {
 
-/// Sorts `row` by successor and sums duplicate successors in place.
-/// Returns the total probability mass; entries that sum to exactly zero
-/// are dropped from the pattern.
-double sort_and_merge(TransitionRow& row) {
-  std::sort(row.begin(), row.end(),
+/// Sorts the row held in entries[begin, end) by successor and sums
+/// duplicate successors in place, truncating `entries` to the merged
+/// row's end.  Returns the total probability mass; entries that sum to
+/// exactly zero are dropped from the pattern.
+double sort_and_merge(TransitionRow& entries, std::size_t begin = 0) {
+  std::sort(entries.begin() + begin, entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::size_t out = 0;
+  std::size_t out = begin;
   double row_sum = 0.0;
-  for (std::size_t k = 0; k < row.size(); ++k) {
-    auto [to, p] = row[k];
-    while (k + 1 < row.size() && row[k + 1].first == to) {
-      p += row[++k].second;
+  for (std::size_t k = begin; k < entries.size(); ++k) {
+    auto [to, p] = entries[k];
+    while (k + 1 < entries.size() && entries[k + 1].first == to) {
+      p += entries[++k].second;
     }
     row_sum += p;
-    if (p != 0.0) row[out++] = {to, p};
+    if (p != 0.0) entries[out++] = {to, p};
   }
-  row.resize(out);
+  entries.resize(out);
   return row_sum;
 }
 
@@ -144,37 +142,6 @@ linalg::Matrix SparseControlledChain::to_dense(std::size_t command) const {
   return p;
 }
 
-void SparseControlledChain::under_policy_rows(
-    const linalg::Matrix& policy, std::vector<TransitionRow>& rows_out) const {
-  const std::size_t na = num_commands();
-  if (policy.rows() != n_ || policy.cols() != na) {
-    throw MarkovError("under_policy: policy matrix shape mismatch");
-  }
-  rows_out.resize(n_);
-  for (std::size_t s = 0; s < n_; ++s) {
-    TransitionRow& mixed = rows_out[s];
-    mixed.clear();
-    double row_sum = 0.0;
-    for (std::size_t a = 0; a < na; ++a) {
-      const double w = policy(s, a);
-      if (w < -1e-9) {
-        throw MarkovError("under_policy: negative decision probability");
-      }
-      row_sum += w;
-      if (w == 0.0) continue;
-      for (const auto& [t, p] : row(a, s)) mixed.emplace_back(t, w * p);
-    }
-    if (std::abs(row_sum - 1.0) > 1e-7) {
-      throw MarkovError("under_policy: decision row " + std::to_string(s) +
-                        " does not sum to 1");
-    }
-    // Merge the per-command contributions (each sorted) into one sorted
-    // unique row.  na is small, so one sort of the concatenation beats a
-    // k-way merge.
-    sort_and_merge(mixed);
-  }
-}
-
 void SparseControlledChain::under_policy_csr(const linalg::Matrix& policy,
                                              MixedChainCsr& out) const {
   const std::size_t na = num_commands();
@@ -200,30 +167,21 @@ void SparseControlledChain::under_policy_csr(const linalg::Matrix& policy,
       throw MarkovError("under_policy: decision row " + std::to_string(s) +
                         " does not sum to 1");
     }
-    // Sort + merge the row's slice in place (mirrors sort_and_merge,
-    // but on the fused array — no per-row vector).
-    std::sort(out.entries.begin() + begin, out.entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::size_t w_out = begin;
-    for (std::size_t k = begin; k < out.entries.size(); ++k) {
-      auto [to, p] = out.entries[k];
-      while (k + 1 < out.entries.size() && out.entries[k + 1].first == to) {
-        p += out.entries[++k].second;
-      }
-      if (p != 0.0) out.entries[w_out++] = {to, p};
-    }
-    out.entries.resize(w_out);
-    out.row_ptr[s + 1] = w_out;
+    // Merge the per-command contributions (each sorted) into one sorted
+    // unique row, in place on the fused array.  na is small, so one sort
+    // of the concatenation beats a k-way merge.
+    sort_and_merge(out.entries, begin);
+    out.row_ptr[s + 1] = out.entries.size();
   }
 }
 
 MarkovChain SparseControlledChain::under_policy(
     const linalg::Matrix& policy) const {
-  std::vector<TransitionRow> rows;
-  under_policy_rows(policy, rows);
+  MixedChainCsr rows;
+  under_policy_csr(policy, rows);
   linalg::Matrix mixed(n_, n_);
   for (std::size_t s = 0; s < n_; ++s) {
-    for (const auto& [t, p] : rows[s]) mixed(s, t) = p;
+    for (const auto& [t, p] : rows.row(s)) mixed(s, t) = p;
   }
   return MarkovChain(std::move(mixed), 1e-6);
 }
@@ -267,28 +225,6 @@ std::vector<linalg::SparseColumn> discounted_transposed_columns(
     if (!diag_seen) col.emplace_back(j, 1.0);
   }
   return cols;
-}
-
-linalg::Vector discounted_occupancy_sparse(
-    const std::vector<TransitionRow>& rows, const linalg::Vector& p0,
-    double gamma) {
-  const std::size_t n = rows.size();
-  if (p0.size() != n) {
-    throw MarkovError("discounted_occupancy: p0 size mismatch");
-  }
-  if (gamma <= 0.0 || gamma >= 1.0) {
-    throw MarkovError("discounted_occupancy: gamma must be in (0,1)");
-  }
-  // u = p0 (I - gamma P)^{-1}  <=>  M u = p0 with M = (I - gamma P)^T.
-  const std::vector<linalg::SparseColumn> cols = discounted_transposed_columns(
-      n, gamma, [&rows](std::size_t j) { return TransitionRowView(rows[j]); });
-  linalg::SparseLu lu;
-  if (!lu.factorize(n, cols)) {
-    throw MarkovError("discounted_occupancy: singular system");
-  }
-  linalg::Vector u = p0;
-  lu.ftran(u);
-  return u;
 }
 
 }  // namespace dpm::markov

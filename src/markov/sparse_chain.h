@@ -1,13 +1,15 @@
-// CSR controlled Markov chains: the sparse counterpart of
-// ControlledMarkovChain.
+// Controlled Markov chains in CSR form (paper Section III-A): one
+// row-stochastic matrix per command, the representation the paper
+// adopts for the SP and for the composed system.
 //
 // DPM system models reach only a handful of successor states per
 // (state, command) pair (the SR moves to few neighbors, the queue to at
 // most two lengths), so the composed transition matrices are extremely
 // sparse.  This type stores one compressed-sparse-row matrix per command
-// and is the representation every hot path consumes: model composition,
-// policy mixing, discounted policy evaluation, and the optimizer's LP
-// assembly all run in O(nnz) instead of O(n^2 * na).
+// and is the only controlled-chain type: model composition, policy
+// mixing, discounted policy evaluation, and the optimizer's LP assembly
+// all run in O(nnz) instead of O(n^2 * na).  A dense view of one command
+// is to_dense(command); the dense mixed chain is under_policy(policy).
 #pragma once
 
 #include <cstddef>
@@ -22,14 +24,29 @@
 
 namespace dpm::markov {
 
-struct MixedChainCsr;  // fused policy-mixed rows (markov/occupancy.h)
-
 /// One sparse transition row: (successor state, probability) pairs with
 /// unique, sorted successor indices.
 using TransitionRow = std::vector<std::pair<std::size_t, double>>;
 
 /// A (successor, probability) view into one CSR row.
 using TransitionRowView = std::span<const std::pair<std::size_t, double>>;
+
+/// Policy-mixed chain in fused CSR form: row s of P_pi occupies
+/// entries [row_ptr[s], row_ptr[s+1]) with unique sorted successors.
+/// Produced by SparseControlledChain::under_policy_csr, which reuses
+/// the arrays' capacity across policies.
+struct MixedChainCsr {
+  std::vector<std::size_t> row_ptr;  // size n + 1 (empty before first mix)
+  std::vector<std::pair<std::size_t, double>> entries;
+
+  std::size_t num_states() const noexcept {
+    return row_ptr.empty() ? 0 : row_ptr.size() - 1;
+  }
+  TransitionRowView row(std::size_t s) const noexcept {
+    return TransitionRowView(entries.data() + row_ptr[s],
+                             row_ptr[s + 1] - row_ptr[s]);
+  }
+};
 
 /// Stationary controllable Markov chain in CSR form: per command, the
 /// rows of a row-stochastic matrix stored as (successor, probability)
@@ -69,26 +86,19 @@ class SparseControlledChain {
   /// Densifies one command's matrix (reference paths and tests).
   linalg::Matrix to_dense(std::size_t command) const;
 
-  /// Sparse rows of the policy-mixed chain
+  /// Mixes the per-command rows under a randomized stationary decision
+  /// matrix `policy` (num_states x num_commands, rows summing to 1):
   ///   P_pi(s, .) = sum_a policy(s, a) P_a(s, .)     (paper Eq. 5)
-  /// written into `rows_out` (resized to n).  Row and scratch capacity
-  /// is reused across calls, so a caller evaluating many policies on one
-  /// model allocates only on the first mix.  Throws MarkovError on shape
-  /// mismatch, negative decision weights, or rows not summing to 1.
-  void under_policy_rows(const linalg::Matrix& policy,
-                         std::vector<TransitionRow>& rows_out) const;
-
-  /// Fused-CSR variant of under_policy_rows: mixes directly into one
-  /// contiguous entry array (`out.entries` + `out.row_ptr`), the form
-  /// the power-accumulation occupancy evaluator consumes.  Capacity is
-  /// reused across calls — a caller sweeping many policies over one
-  /// model stops allocating after the first mix.  Same validation and
-  /// the same sorted-unique row content as under_policy_rows.
+  /// written as fused CSR into `out` (one contiguous entry array, rows
+  /// with unique sorted successors).  Capacity is reused across calls —
+  /// a caller sweeping many policies over one model stops allocating
+  /// after the first mix.  Throws MarkovError on shape mismatch,
+  /// negative decision weights, or rows not summing to 1.
   void under_policy_csr(const linalg::Matrix& policy,
                         MixedChainCsr& out) const;
 
-  /// Convenience wrapper returning a dense validated MarkovChain (the
-  /// historical contract; reference paths only).
+  /// under_policy_csr densified into a validated MarkovChain (reference
+  /// paths and tests only).
   MarkovChain under_policy(const linalg::Matrix& policy) const;
 
   /// Streams the canonical content of the chain into `h`: order, command
@@ -116,15 +126,5 @@ class SparseControlledChain {
 std::vector<linalg::SparseColumn> discounted_transposed_columns(
     std::size_t n, double gamma,
     const std::function<TransitionRowView(std::size_t)>& row_of);
-
-/// Discounted occupancy u = p0 (I - gamma P)^{-1} for a chain given by
-/// sparse `rows` (the output of under_policy_rows): u_s is the expected
-/// discounted number of visits to s.  Solved with the sparse LU — the
-/// O(nnz)-flavored counterpart of MarkovChain::discounted_occupancy.
-/// Throws MarkovError on bad gamma/p0 or a singular system (which cannot
-/// happen for a stochastic P and gamma < 1 unless rows are malformed).
-linalg::Vector discounted_occupancy_sparse(
-    const std::vector<TransitionRow>& rows, const linalg::Vector& p0,
-    double gamma);
 
 }  // namespace dpm::markov

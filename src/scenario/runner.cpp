@@ -76,8 +76,7 @@ std::vector<ScenarioRunResult> ExperimentRunner::run(
   std::vector<std::vector<char>> keyed(scenarios.size());
   std::vector<UnitTask> tasks;
   if (options_.cache) {
-    cache = std::make_unique<ResultCache>(options_.cache_dir,
-                                          options_.cache_max_entries);
+    cache = std::make_unique<ResultCache>(options_.cache_dir);
     cache->load();
   }
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -157,11 +156,6 @@ std::vector<ScenarioRunResult> ExperimentRunner::run(
         if (clean || attempt == max_attempts) {
           outputs[task.scenario][task.unit] = std::move(ctx.output());
           break;
-        }
-        if (options_.retry_backoff_ms > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(
-                  options_.retry_backoff_ms * static_cast<double>(attempt)));
         }
       }
     }

@@ -30,26 +30,24 @@ struct RunnerOptions {
   bool write_json = true;     // one BENCH_<scenario>.json per scenario
   /// Content-addressed result cache (scenario/cache.h): look every
   /// unit's unit_key() up before executing it, replay hits
-  /// bit-identically, store clean misses, and LRU-trim the store on
-  /// flush.  Off by default — an explicit accelerator, not a default
-  /// behavior change.
+  /// bit-identically, store clean misses, and LRU-trim the store to
+  /// ResultCache::kDefaultMaxEntries on flush.  Off by default — an
+  /// explicit accelerator, not a default behavior change.
   bool cache = false;
   std::string cache_dir = ".scenario_cache";
-  std::size_t cache_max_entries = 4096;
   /// Per-unit wall-clock deadline in milliseconds (0 = none).
   /// Cooperative: solvers poll robust::deadline_expired() at iteration
   /// boundaries, so an expired unit surfaces a structured kDeadline
   /// failure instead of being killed mid-write.
   double unit_deadline_ms = 0.0;
-  /// Bounded retry-with-backoff: a unit whose attempt fails (shape
-  /// failure, thrown exception, expired deadline) is re-run up to this
-  /// many more times before its failure is reported.  The unit's fault
-  /// scope is armed once, OUTSIDE the attempt loop, so a consumed
-  /// single-shot injected fault stays consumed and the retry reproduces
-  /// the fault-free output byte-for-byte.
+  /// Bounded retry: a unit whose attempt fails (shape failure, thrown
+  /// exception, expired deadline) is re-run immediately, up to this
+  /// many more times, before its failure is reported.  Attempts replay
+  /// deterministic work, so waiting between them buys nothing.  The
+  /// unit's fault scope is armed once, OUTSIDE the attempt loop, so a
+  /// consumed single-shot injected fault stays consumed and the retry
+  /// reproduces the fault-free output byte-for-byte.
   std::size_t unit_retries = 0;
-  /// Sleep attempt*backoff ms between retry attempts (0 = immediate).
-  double retry_backoff_ms = 0.0;
   /// Optional fault injection: each unit arms a FaultPlan derived from
   /// (site, scenario name, unit index) — deterministic regardless of
   /// --jobs, because plans are thread-local and derived from the unit's

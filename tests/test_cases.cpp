@@ -39,7 +39,7 @@ TEST(DiskDrive, ComposedModelHas66States) {
   EXPECT_EQ(m.num_states(), 66u);  // 11 x 2 x 3, as in the paper
   for (std::size_t a = 0; a < m.num_commands(); ++a) {
     EXPECT_NO_THROW(markov::validate_stochastic(
-        m.chain().sparse().to_dense(a), "disk", 1e-9));
+        m.chain().to_dense(a), "disk", 1e-9));
   }
 }
 
@@ -166,7 +166,7 @@ TEST(Cpu, ComposedModelShape) {
   EXPECT_EQ(m.num_commands(), 2u);
   for (std::size_t a = 0; a < 2; ++a) {
     EXPECT_NO_THROW(markov::validate_stochastic(
-        m.chain().sparse().to_dense(a), "cpu", 1e-9));
+        m.chain().to_dense(a), "cpu", 1e-9));
   }
 }
 

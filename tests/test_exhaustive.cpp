@@ -10,7 +10,10 @@
 //     infeasible-but-cheaper, randomization closes the gap
 //     (Theorem A.2);
 //   * the average-cost optimizer lower-bounds every unichain
-//     deterministic policy's stationary cost.
+//     deterministic policy's stationary cost;
+//   * every discounted optimum is a vertex: at most n + t positive
+//     frequencies and t randomized states for t tight constraints
+//     (tests/vertex_structure.h).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -19,6 +22,7 @@
 #include "dpm/evaluation.h"
 #include "dpm/optimizer.h"
 #include "markov/markov_chain.h"
+#include "vertex_structure.h"
 
 namespace dpm {
 namespace {
@@ -73,6 +77,9 @@ TEST_P(ExhaustiveTest, Lp2EqualsBestDeterministic) {
   const PolicyOptimizer opt(m, cfg);
   const OptimizationResult lp = opt.minimize(metrics::power(m));
   ASSERT_TRUE(lp.feasible);
+  // No constraint: the optimum is a deterministic vertex.
+  vertex::expect_vertex_structure(lp.frequencies, m.num_states(),
+                                  m.num_commands(), 0);
 
   double best = 1e300;
   for (const Policy& p : all_deterministic(m)) {
@@ -104,6 +111,9 @@ TEST_P(ExhaustiveTest, ConstrainedLpLowerBoundsFeasibleDeterministic) {
 
   const OptimizationResult lp = opt.minimize_power(bound);
   ASSERT_TRUE(lp.feasible) << "seed " << GetParam();
+  vertex::expect_vertex_structure(
+      lp.frequencies, m.num_states(), m.num_commands(),
+      vertex::count_tight(lp.constraint_per_step, {bound}));
 
   double best_feasible_det = 1e300;
   for (const Policy& p : all_deterministic(m)) {

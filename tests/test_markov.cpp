@@ -4,8 +4,8 @@
 #include <cmath>
 #include <random>
 
-#include "markov/controlled_chain.h"
 #include "markov/markov_chain.h"
+#include "markov/sparse_chain.h"
 
 namespace dpm::markov {
 namespace {
@@ -125,15 +125,15 @@ TEST(Chain, ExpectedTransitionTime) {
 // Controlled chains
 // ---------------------------------------------------------------------
 
-ControlledMarkovChain example_controlled() {
+SparseControlledChain example_controlled() {
   // Example 3.1-like SP: command 0 wakes, command 1 sleeps.
   Matrix on{{1.0, 0.0}, {0.1, 0.9}};
   Matrix off{{0.2, 0.8}, {0.0, 1.0}};
-  return ControlledMarkovChain({on, off});
+  return SparseControlledChain::from_dense({on, off});
 }
 
 TEST(Controlled, BasicAccessors) {
-  const ControlledMarkovChain c = example_controlled();
+  const SparseControlledChain c = example_controlled();
   EXPECT_EQ(c.num_states(), 2u);
   EXPECT_EQ(c.num_commands(), 2u);
   EXPECT_DOUBLE_EQ(c.transition(1, 0, 0), 0.1);
@@ -141,23 +141,23 @@ TEST(Controlled, BasicAccessors) {
 }
 
 TEST(Controlled, RejectsEmpty) {
-  EXPECT_THROW(ControlledMarkovChain({}), MarkovError);
+  EXPECT_THROW(SparseControlledChain::from_dense({}), MarkovError);
 }
 
 TEST(Controlled, RejectsMismatchedOrders) {
   EXPECT_THROW(
-      ControlledMarkovChain({Matrix::identity(2), Matrix::identity(3)}),
+      SparseControlledChain::from_dense({Matrix::identity(2), Matrix::identity(3)}),
       MarkovError);
 }
 
 TEST(Controlled, RejectsNonStochasticCommandMatrix) {
   EXPECT_THROW(
-      ControlledMarkovChain({Matrix{{0.5, 0.4}, {0.0, 1.0}}}),
+      SparseControlledChain::from_dense({Matrix{{0.5, 0.4}, {0.0, 1.0}}}),
       MarkovError);
 }
 
 TEST(Controlled, UnderDeterministicPolicyPicksMatrix) {
-  const ControlledMarkovChain c = example_controlled();
+  const SparseControlledChain c = example_controlled();
   Matrix pick_off(2, 2);
   pick_off(0, 1) = 1.0;
   pick_off(1, 1) = 1.0;
@@ -168,7 +168,7 @@ TEST(Controlled, UnderDeterministicPolicyPicksMatrix) {
 
 TEST(Controlled, UnderRandomizedPolicyMixesRows) {
   // Example 3.6: 80% s_on, 20% s_off.
-  const ControlledMarkovChain c = example_controlled();
+  const SparseControlledChain c = example_controlled();
   Matrix mix(2, 2);
   mix(0, 0) = 0.8;
   mix(0, 1) = 0.2;
@@ -180,7 +180,7 @@ TEST(Controlled, UnderRandomizedPolicyMixesRows) {
 }
 
 TEST(Controlled, UnderPolicyValidatesShape) {
-  const ControlledMarkovChain c = example_controlled();
+  const SparseControlledChain c = example_controlled();
   EXPECT_THROW(c.under_policy(Matrix(3, 2)), MarkovError);
   Matrix bad(2, 2);
   bad(0, 0) = 0.5;  // row does not sum to 1
@@ -209,7 +209,7 @@ TEST_P(MixPropertyTest, MixedMatrixIsStochastic) {
     }
     ms.push_back(std::move(m));
   }
-  const ControlledMarkovChain c(ms);
+  const SparseControlledChain c = SparseControlledChain::from_dense(ms);
   Matrix pol(n, na);
   for (std::size_t i = 0; i < n; ++i) {
     double total = 0.0;

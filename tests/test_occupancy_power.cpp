@@ -78,9 +78,7 @@ TEST(OccupancyPower, MatchesLuSolveAboveTheSizeGate) {
   EXPECT_FALSE(ws.used_lu);
   EXPECT_GT(ws.iterations, 0u);
 
-  std::vector<TransitionRow> rows;
-  chain.under_policy_rows(policy, rows);
-  const linalg::Vector exact = discounted_occupancy_sparse(rows, p0, gamma);
+  const linalg::Vector exact = discounted_occupancy_lu(mixed, p0, gamma);
   double mass = 0.0;
   for (std::size_t s = 0; s < n; ++s) {
     EXPECT_NEAR(u[s], exact[s], 1e-9 * (1.0 + std::abs(exact[s])))
@@ -88,32 +86,6 @@ TEST(OccupancyPower, MatchesLuSolveAboveTheSizeGate) {
     mass += u[s];
   }
   EXPECT_NEAR(mass * (1.0 - gamma), 1.0, 1e-9);
-}
-
-// under_policy_csr must produce exactly the rows of under_policy_rows,
-// fused.
-TEST(OccupancyPower, FusedMixMatchesRowMix) {
-  const std::size_t n = 60, na = 3;
-  const SparseControlledChain chain = random_chain(n, na, 3, 5);
-  // A genuinely mixed (stochastic) policy exercises the merge.
-  linalg::Matrix policy(n, na);
-  for (std::size_t s = 0; s < n; ++s)
-    for (std::size_t a = 0; a < na; ++a)
-      policy(s, a) = 1.0 / static_cast<double>(na);
-
-  MixedChainCsr fused;
-  chain.under_policy_csr(policy, fused);
-  std::vector<TransitionRow> rows;
-  chain.under_policy_rows(policy, rows);
-  ASSERT_EQ(fused.num_states(), n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const TransitionRowView fr = fused.row(s);
-    ASSERT_EQ(fr.size(), rows[s].size()) << "row " << s;
-    for (std::size_t k = 0; k < fr.size(); ++k) {
-      EXPECT_EQ(fr[k].first, rows[s][k].first) << "row " << s;
-      EXPECT_EQ(fr[k].second, rows[s][k].second) << "row " << s;
-    }
-  }
 }
 
 // Below the size gate the evaluator takes the exact LU route — small
@@ -129,11 +101,9 @@ TEST(OccupancyPower, SmallSystemsUseLu) {
   EXPECT_TRUE(ws.used_lu);
   EXPECT_EQ(ws.iterations, 0u);
 
-  std::vector<TransitionRow> rows;
-  chain.under_policy_rows(round_robin_policy(n, na), rows);
-  const linalg::Vector exact = discounted_occupancy_sparse(rows, p0, 0.95);
+  const linalg::Vector exact = discounted_occupancy_lu(mixed, p0, 0.95);
   for (std::size_t s = 0; s < n; ++s) {
-    // Same mix content + same solver: identical bits.
+    // Same mix + same solver: identical bits.
     EXPECT_EQ(u[s], exact[s]) << "state " << s;
   }
 }

@@ -12,6 +12,7 @@
 #include "dpm/optimizer.h"
 #include "dpm/value_iteration.h"
 #include "serve/fleet.h"
+#include "vertex_structure.h"
 
 namespace dpm {
 namespace {
@@ -232,6 +233,13 @@ TEST(Optimizer, WarmStartedSweepMatchesColdSolves) {
                                "queue", bounds, fixed);
   ASSERT_EQ(curve.size(), bounds.size());
   for (std::size_t i = 0; i < bounds.size(); ++i) {
+    // Warm-started points are vertices too (tests/vertex_structure.h).
+    if (curve[i].feasible) {
+      vertex::expect_vertex_structure(
+          curve[i].frequencies, m.num_states(), m.num_commands(),
+          vertex::count_tight(curve[i].constraint_per_step,
+                              {0.3, bounds[i]}));
+    }
     std::vector<OptimizationConstraint> constraints = fixed;
     constraints.push_back({metrics::queue_length(m), bounds[i], "queue"});
     const OptimizationResult cold = opt.minimize(metrics::power(m),

@@ -11,6 +11,8 @@
 //     and evicted sessions take their index entries with them;
 //   * the exact-hit tier replays byte-identical responses with zero
 //     additional simplex pivots;
+//   * a served policy has the vertex structure of a basic optimum: with
+//     a uniform p0, at most one randomized state per tight constraint;
 //   * every accepted connection gets TCP_NODELAY.
 //
 // The multi-client admission and shedding contracts live in
@@ -34,6 +36,7 @@
 #include "serve/fleet.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "vertex_structure.h"
 
 namespace dpm {
 namespace {
@@ -406,6 +409,25 @@ TEST(ServeEngine, ExactHitReplaysByteIdenticalWithZeroPivots) {
 
   const std::string cold = engine.handle_line(line);
   EXPECT_NE(cold.find("\"status\":\"ok\""), std::string::npos) << cold;
+
+  // The served optimum is a vertex (tests/vertex_structure.h).  p0 is
+  // uniform, so the policy rows carry the frequencies' support.
+  const JsonValue served = JsonValue::parse(cold);
+  ASSERT_NE(served.get("policy"), nullptr) << cold;
+  std::vector<double> decisions;
+  for (const JsonValue& row : served.get("policy")->items()) {
+    for (const JsonValue& p : row.items()) decisions.push_back(p.as_number());
+  }
+  std::vector<double> achieved, bounds;
+  for (const JsonValue& v : served.get("constraint_per_step")->items()) {
+    achieved.push_back(v.as_number());
+  }
+  for (const ConstraintSpec& c : r.constraints) bounds.push_back(c.bound);
+  const std::size_t n = served.get("policy")->items().size();
+  ASSERT_GT(n, 0u);
+  vertex::expect_vertex_structure(decisions, n, decisions.size() / n,
+                                  vertex::count_tight(achieved, bounds));
+
   const EngineCounters after_cold = engine.counters();
   EXPECT_EQ(after_cold.cold_solves, 1u);
   EXPECT_EQ(after_cold.exact_hits, 0u);

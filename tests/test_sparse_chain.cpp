@@ -9,7 +9,7 @@
 #include "cases/example_system.h"
 #include "dpm/evaluation.h"
 #include "dpm/optimizer.h"
-#include "markov/controlled_chain.h"
+#include "markov/occupancy.h"
 #include "markov/sparse_chain.h"
 
 namespace dpm::markov {
@@ -94,6 +94,10 @@ TEST(SparseChain, DenseRoundTrip) {
     EXPECT_NEAR(linalg::Matrix::max_abs_diff(sparse.to_dense(a), dense[a]),
                 0.0, 1e-15);
   }
+  // Copies keep the chain.
+  const SparseControlledChain copy = sparse;
+  EXPECT_NEAR(linalg::Matrix::max_abs_diff(copy.to_dense(1), dense[1]), 0.0,
+              1e-15);
 }
 
 TEST(SparseChain, UnderPolicyAgreesWithDenseOnRandomInstances) {
@@ -102,7 +106,8 @@ TEST(SparseChain, UnderPolicyAgreesWithDenseOnRandomInstances) {
     const std::size_t n = 5 + static_cast<std::size_t>(trial) * 3;
     const std::size_t na = 2 + trial % 3;
     const auto dense = random_dense_chain(n, na, 3, gen);
-    const ControlledMarkovChain chain(dense);
+    const SparseControlledChain chain =
+        SparseControlledChain::from_dense(dense);
     const linalg::Matrix pi = random_policy(n, na, gen);
 
     // Dense reference: explicit mix of the dense matrices.
@@ -118,13 +123,14 @@ TEST(SparseChain, UnderPolicyAgreesWithDenseOnRandomInstances) {
     EXPECT_LT(linalg::Matrix::max_abs_diff(mixed.transition_matrix(), want),
               1e-12);
 
-    // Workspace variant agrees and reuses buffers across calls.
-    std::vector<TransitionRow> rows;
-    chain.sparse().under_policy_rows(pi, rows);
-    chain.sparse().under_policy_rows(pi, rows);  // reuse
+    // Fused-CSR mix agrees and reuses its buffers across calls.
+    MixedChainCsr rows;
+    chain.under_policy_csr(pi, rows);
+    chain.under_policy_csr(pi, rows);  // reuse
+    ASSERT_EQ(rows.num_states(), n);
     linalg::Matrix again(n, n);
     for (std::size_t s = 0; s < n; ++s) {
-      for (const auto& [t, p] : rows[s]) again(s, t) = p;
+      for (const auto& [t, p] : rows.row(s)) again(s, t) = p;
     }
     EXPECT_LT(linalg::Matrix::max_abs_diff(again, want), 1e-12);
   }
@@ -135,17 +141,17 @@ TEST(SparseChain, UnderPolicyRejectsBadDecisions) {
   const auto dense = random_dense_chain(4, 2, 2, gen);
   const SparseControlledChain sparse =
       SparseControlledChain::from_dense(dense);
-  std::vector<TransitionRow> rows;
+  MixedChainCsr rows;
   linalg::Matrix bad_shape(4, 3);
-  EXPECT_THROW(sparse.under_policy_rows(bad_shape, rows), MarkovError);
+  EXPECT_THROW(sparse.under_policy_csr(bad_shape, rows), MarkovError);
   linalg::Matrix not_summing(4, 2, 0.3);
-  EXPECT_THROW(sparse.under_policy_rows(not_summing, rows), MarkovError);
+  EXPECT_THROW(sparse.under_policy_csr(not_summing, rows), MarkovError);
   linalg::Matrix negative(4, 2);
   for (std::size_t s = 0; s < 4; ++s) {
     negative(s, 0) = 1.5;
     negative(s, 1) = -0.5;
   }
-  EXPECT_THROW(sparse.under_policy_rows(negative, rows), MarkovError);
+  EXPECT_THROW(sparse.under_policy_csr(negative, rows), MarkovError);
 }
 
 TEST(SparseChain, SparseOccupancyMatchesDenseSolve) {
@@ -153,7 +159,8 @@ TEST(SparseChain, SparseOccupancyMatchesDenseSolve) {
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t n = 6 + static_cast<std::size_t>(trial) * 5;
     const auto dense = random_dense_chain(n, 2, 3, gen);
-    const ControlledMarkovChain chain(dense);
+    const SparseControlledChain chain =
+        SparseControlledChain::from_dense(dense);
     const linalg::Matrix pi = random_policy(n, 2, gen);
     const double gamma = 0.97;
     linalg::Vector p0(n, 0.0);
@@ -163,32 +170,14 @@ TEST(SparseChain, SparseOccupancyMatchesDenseSolve) {
     const MarkovChain mixed = chain.under_policy(pi);
     const linalg::Vector dense_u = mixed.discounted_occupancy(p0, gamma);
 
-    std::vector<TransitionRow> rows;
-    chain.sparse().under_policy_rows(pi, rows);
-    const linalg::Vector sparse_u = discounted_occupancy_sparse(rows, p0,
-                                                                gamma);
+    MixedChainCsr rows;
+    chain.under_policy_csr(pi, rows);
+    const linalg::Vector sparse_u = discounted_occupancy_lu(rows, p0, gamma);
     ASSERT_EQ(sparse_u.size(), n);
     for (std::size_t s = 0; s < n; ++s) {
       EXPECT_NEAR(sparse_u[s], dense_u[s], 1e-8 * (1.0 + dense_u[s]));
     }
   }
-}
-
-TEST(SparseChain, DenseViewMatchesSparse) {
-  std::mt19937_64 gen(5);
-  const auto dense = random_dense_chain(9, 2, 3, gen);
-  ControlledMarkovChain sparse_first{
-      SparseControlledChain::from_dense(dense)};
-  for (std::size_t a = 0; a < 2; ++a) {
-    EXPECT_NEAR(linalg::Matrix::max_abs_diff(
-                    sparse_first.sparse().to_dense(a), dense[a]),
-                0.0, 1e-15);
-  }
-  // Copies keep the chain.
-  const ControlledMarkovChain copy = sparse_first;
-  EXPECT_NEAR(
-      linalg::Matrix::max_abs_diff(copy.sparse().to_dense(1), dense[1]), 0.0,
-      1e-15);
 }
 
 // ---------------------------------------------------------------------
@@ -215,7 +204,7 @@ TEST(SparseChain, BuildLpMatchesDenseReferenceFormulation) {
   // [s == j] - gamma * P_a(s, j), assembled from the densified chain.
   std::vector<linalg::Matrix> dense;
   for (std::size_t a = 0; a < na; ++a) {
-    dense.push_back(model.chain().sparse().to_dense(a));
+    dense.push_back(model.chain().to_dense(a));
   }
   for (std::size_t j = 0; j < n; ++j) {
     linalg::Vector row(n * na, 0.0);

@@ -238,7 +238,7 @@ TEST(Compose, MatricesAreStochastic) {
   const SystemModel m = ExampleSystem::make_model();
   for (std::size_t a = 0; a < m.num_commands(); ++a) {
     EXPECT_NO_THROW(markov::validate_stochastic(
-        m.chain().sparse().to_dense(a), "composed", 1e-9));
+        m.chain().to_dense(a), "composed", 1e-9));
   }
 }
 
@@ -287,7 +287,7 @@ TEST(Compose, OverrideChangesDynamics) {
   // Force the SP to stay put regardless of commands whenever the SR
   // moves to its request state.
   ServiceProvider sp = ExampleSystem::make_provider();
-  const markov::ControlledMarkovChain base = sp.chain();
+  const markov::SparseControlledChain base = sp.chain();
   SpTransitionOverride ov = [base](std::size_t f, std::size_t t,
                                    std::size_t a, std::size_t sr_to) {
     if (sr_to == 1) return f == t ? 1.0 : 0.0;
@@ -306,7 +306,7 @@ TEST(Compose, OverrideChangesDynamics) {
   }
   // Still row-stochastic.
   EXPECT_NO_THROW(markov::validate_stochastic(
-      m.chain().sparse().to_dense(0), "override", 1e-9));
+      m.chain().to_dense(0), "override", 1e-9));
 }
 
 TEST(Compose, NonStochasticOverrideRejected) {
