@@ -11,6 +11,9 @@
 #include "dpm/evaluation.h"
 #include "dpm/optimizer.h"
 #include "dpm/value_iteration.h"
+#include "linalg/sparse_lu.h"
+#include "lp/revised_simplex.h"
+#include "serve/fleet.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
 #include "trace/sr_extractor.h"
@@ -67,6 +70,54 @@ BENCHMARK(BM_SolvePolicy_ScalingInStates)
     ->Arg(3)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// Per-refactorization cost of a served-size basis: the optimal basis of
+// the fleet LP dpmd solves for variant 2 at queue capacity 112 (453
+// rows, gamma 0.999), refactorized from scratch in a loop.  A served
+// cold solve refactorizes every 10-14 pivots, so this is the cost the
+// simplex pays ~50 times per solve.
+void BM_RefactorizeFleetBasis(benchmark::State& state) {
+  const SystemModel m = serve::fleet_model_spec(2, 112).compose();
+  OptimizerConfig config;
+  config.discount = 0.999;
+  const PolicyOptimizer opt(m, config);
+  const lp::LpProblem problem = opt.build_lp(
+      metrics::power(m), {{metrics::queue_length(m), 0.25 * 112.0, "queue"}});
+  lp::SimplexBasis basis;
+  if (lp::solve_revised_simplex(problem, {}, nullptr, &basis).status !=
+      lp::LpStatus::kOptimal) {
+    state.SkipWithError("fleet LP not optimal");
+    return;
+  }
+  // The simplex's standard form: structural columns, one slack per
+  // inequality row, one artificial per row (no row of this LP is a
+  // singleton, so every row stays a basis row).
+  const std::size_t rows = problem.num_constraints();
+  const linalg::SparseMatrixCsc a = problem.constraint_csc();
+  std::vector<linalg::SparseColumn> columns;
+  for (std::size_t j = 0; j < problem.num_variables(); ++j) {
+    linalg::SparseColumn& col = columns.emplace_back();
+    for (std::size_t k = a.col_begin(j); k < a.col_end(j); ++k) {
+      col.emplace_back(a.row_indices()[k], a.values()[k]);
+    }
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    const lp::Sense sense = problem.constraints()[i].sense;
+    if (sense != lp::Sense::kEq) {
+      columns.push_back({{i, sense == lp::Sense::kLe ? 1.0 : -1.0}});
+    }
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    columns.push_back({{i, problem.constraints()[i].rhs < 0.0 ? -1.0 : 1.0}});
+  }
+  linalg::BasisFactorization factor;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(factor.refactorize(rows, {columns, basis.basic}));
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["factor_nnz"] = static_cast<double>(factor.factor_nonzeros());
+}
+BENCHMARK(BM_RefactorizeFleetBasis)->Unit(benchmark::kMicrosecond);
 
 void BM_ValueIteration_Example(benchmark::State& state) {
   const SystemModel m = cases::ExampleSystem::make_model();

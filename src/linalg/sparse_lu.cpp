@@ -1,11 +1,15 @@
 #include "linalg/sparse_lu.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <queue>
+#include <span>
 #include <thread>
 
 #include "robust/probe.h"
@@ -56,11 +60,259 @@ constexpr double kUpdateRelTol = 1e-10;
 /// the update fill (periodic refactorization bounds the drift).
 constexpr double kDropTol = 1e-13;
 
+/// Many short lists over a few large blocks.  List i owns a slot of
+/// `cap` entries (a power of two) and uses its first `size`.  A push into
+/// a full slot moves the list to a slot of twice the room (grown in
+/// place when it ends where the newest block's free space begins), and
+/// the old slot — like the slot of a dropped list — goes onto a free
+/// chain of its size; a request is served from the smallest free slot
+/// large enough, split down to size, before block space is used.  Free
+/// slots the requests never fit pile up, so once they add up to a block
+/// the arena is compacted (every list slid down over the holes, in
+/// address order) before another block is allocated.  Append order,
+/// swap-pop and drop behave exactly like one std::vector per list (drop
+/// = clear for good), so every walk over a list sees the same sequence;
+/// but n lists cost a handful of allocations instead of n.  A push can
+/// move any list: pointers into the arena are stale after a push.
+///
+/// Blocks are raw storage (an entry is constructed when it is written)
+/// of at most a megabyte or so after the first, allocated from the heap
+/// like the per-list vectors they replace: they reuse the pages earlier
+/// solves freed there, and the holes they leave when released are no
+/// larger than the blocks.
+template <class T>
+class FlatLists {
+ public:
+  /// `lists` empty lists; the first block will hold `reserve` entries.
+  void reset(std::size_t lists, std::size_t reserve) {
+    release();
+    slots_.assign(lists, Slot{});
+    next_block_ = std::max<std::size_t>(reserve, 64);
+  }
+  /// Frees every block and the list table.
+  void release() {
+    for (const Block& b : blocks_) {
+      std::allocator<T>().deallocate(b.data, b.cap);
+    }
+    std::vector<Block>().swap(blocks_);
+    std::vector<Slot>().swap(slots_);
+    std::vector<std::size_t>().swap(order_);
+    bump_ = 0;
+    cursor_ = limit_ = nullptr;
+    clear_free();
+  }
+  ~FlatLists() { release(); }
+
+  /// Gives empty list i room for at least `cap` entries.
+  void make_room(std::size_t i, std::size_t cap) {
+    const std::size_t room = std::bit_ceil(std::max<std::size_t>(cap, 4));
+    T* p = take(room);
+    slots_[i] = Slot{p, 0, room};
+  }
+
+  std::size_t size(std::size_t i) const { return slots_[i].size; }
+  std::span<const T> operator[](std::size_t i) const {
+    return {slots_[i].data, slots_[i].size};
+  }
+  T& at(std::size_t i, std::size_t k) { return slots_[i].data[k]; }
+
+  void push_back(std::size_t i, const T& v) {
+    Slot& s = slots_[i];
+    if (s.size == s.cap) {
+      if (s.data + s.cap == cursor_ &&
+          static_cast<std::size_t>(limit_ - cursor_) >= s.cap &&
+          s.cap != 0) {
+        cursor_ += s.cap;
+      } else {
+        // take() may compact, which moves this list too: read s after.
+        T* moved = take(s.cap == 0 ? 4 : 2 * s.cap);
+        std::uninitialized_copy_n(s.data, s.size, moved);
+        if (s.cap != 0) give(s.data, s.cap);
+        s.data = moved;
+      }
+      s.cap = s.cap == 0 ? 4 : 2 * s.cap;
+    }
+    std::construct_at(s.data + s.size++, v);
+  }
+  /// The vector idiom `list[k] = list.back(); list.pop_back();`.
+  void swap_pop(std::size_t i, std::size_t k) {
+    Slot& s = slots_[i];
+    s.data[k] = s.data[--s.size];
+  }
+  /// Empties list i for good: its slot goes back to the free chains.
+  void drop(std::size_t i) {
+    Slot& s = slots_[i];
+    if (s.cap != 0) give(s.data, s.cap);
+    s = Slot{};
+  }
+
+ private:
+  /// Blocks after the first grow geometrically up to this many entries.
+  static constexpr std::size_t kMaxBlock = std::size_t{1} << 16;
+  struct Slot {
+    T* data = nullptr;
+    std::size_t size = 0;
+    std::size_t cap = 0;
+  };
+  struct Block {
+    T* data;
+    std::size_t cap;
+  };
+
+  /// A slot of `cap` (a power of two) entries: the smallest free slot
+  /// that is large enough, split down to `cap` (the unused halves go on
+  /// the free chains), else block space.
+  T* take(std::size_t cap) {
+    const int k = std::countr_zero(cap);
+    const std::uint64_t larger = free_mask_ >> k;
+    if (larger != 0) {
+      int c = k + std::countr_zero(larger);
+      T* p = pop(c);
+      while (c > k) {
+        --c;
+        give(p + (std::size_t{1} << c), std::size_t{1} << c);
+      }
+      return p;
+    }
+    if (static_cast<std::size_t>(limit_ - cursor_) < cap) {
+      if (free_entries_ >= next_block_) compact();
+      while (static_cast<std::size_t>(limit_ - cursor_) < cap) next_block(cap);
+    }
+    T* p = cursor_;
+    cursor_ += cap;
+    return p;
+  }
+  /// Moves the bump space to the next block — a spare one left over by
+  /// compaction, else a new one with room for at least `cap` — and puts
+  /// what is left of the current one on the free chains.
+  void next_block(std::size_t cap) {
+    while (limit_ - cursor_ >= 4) {
+      const std::size_t piece =
+          std::bit_floor(static_cast<std::size_t>(limit_ - cursor_));
+      give(cursor_, piece);
+      cursor_ += piece;
+    }
+    if (!blocks_.empty() && bump_ + 1 < blocks_.size()) {
+      ++bump_;
+    } else {
+      const std::size_t size = std::max(next_block_, cap);
+      blocks_.push_back({std::allocator<T>().allocate(size), size});
+      bump_ = blocks_.size() - 1;
+      std::size_t total = 0;
+      for (const Block& b : blocks_) total += b.cap;
+      next_block_ = std::min(total, kMaxBlock);
+    }
+    cursor_ = blocks_[bump_].data;
+    limit_ = cursor_ + blocks_[bump_].cap;
+  }
+  /// Slides every list, in address order, down over the free slots; the
+  /// bump space restarts right after the last list, and blocks past it
+  /// are spares for next_block().
+  void compact() {
+    order_.clear();
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].cap != 0) order_.push_back(i);
+    }
+    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      return std::less<T*>()(slots_[a].data, slots_[b].data);
+    });
+    std::sort(blocks_.begin(), blocks_.end(),
+              [](const Block& a, const Block& b) {
+                return std::less<T*>()(a.data, b.data);
+              });
+    std::size_t bi = 0;
+    T* w = blocks_[0].data;
+    for (const std::size_t i : order_) {
+      Slot& s = slots_[i];
+      while (static_cast<std::size_t>(blocks_[bi].data + blocks_[bi].cap - w) <
+             s.cap) {
+        w = blocks_[++bi].data;
+      }
+      // w <= s.data, so a forward copy never reads an overwritten entry.
+      if (s.data != w) {
+        for (std::size_t k = 0; k < s.size; ++k) {
+          std::construct_at(w + k, s.data[k]);
+        }
+        s.data = w;
+      }
+      w += s.cap;
+    }
+    clear_free();
+    bump_ = bi;
+    cursor_ = w;
+    limit_ = blocks_[bi].data + blocks_[bi].cap;
+  }
+  void give(T* p, std::size_t cap) {
+    const int c = std::countr_zero(cap);
+    set_next(p, free_[c]);
+    free_[c] = p;
+    free_mask_ |= std::uint64_t{1} << c;
+    free_entries_ += cap;
+  }
+  T* pop(int c) {
+    T* p = free_[c];
+    free_[c] = next(p);
+    if (free_[c] == nullptr) free_mask_ &= ~(std::uint64_t{1} << c);
+    free_entries_ -= std::size_t{1} << c;
+    return p;
+  }
+  void clear_free() {
+    free_.fill(nullptr);
+    free_mask_ = 0;
+    free_entries_ = 0;
+  }
+  // A free slot's first entry holds the next free slot of its size.
+  static void set_next(std::size_t* p, std::size_t* next) {
+    std::construct_at(p, reinterpret_cast<std::uintptr_t>(next));
+  }
+  static std::size_t* next(const std::size_t* p) {
+    return reinterpret_cast<std::size_t*>(*p);
+  }
+  static void set_next(std::pair<std::size_t, double>* p,
+                       std::pair<std::size_t, double>* next) {
+    std::construct_at(p, reinterpret_cast<std::uintptr_t>(next), 0.0);
+  }
+  static std::pair<std::size_t, double>* next(
+      const std::pair<std::size_t, double>* p) {
+    return reinterpret_cast<std::pair<std::size_t, double>*>(p->first);
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<Block> blocks_;
+  std::size_t bump_ = 0;  // the block holding the bump space
+  T* cursor_ = nullptr;   // bump space: [cursor_, limit_)
+  T* limit_ = nullptr;
+  std::size_t next_block_ = 0;
+  std::vector<std::size_t> order_;  // compaction scratch
+  // Free slots of capacity 2^c chained from free_[c]; bit c of
+  // free_mask_ is set when that chain is non-empty.
+  std::array<T*, 64> free_{};
+  std::uint64_t free_mask_ = 0;
+  std::size_t free_entries_ = 0;
+};
+
 }  // namespace
 
-bool SparseLu::factorize(std::size_t n,
-                         const std::vector<SparseColumn>& columns,
-                         double pivot_tol) {
+// The active-submatrix working set of one factorize() call: column-wise
+// values (authoritative) + row-wise patterns (may hold stale column ids,
+// filtered on use) + exact row/column counts, the lazy column-count
+// buckets, and the U(k', k) entries each still-active column collects
+// until it is pivoted (U column k is then u_stash list
+// col_of_position_[k]).
+struct SparseLu::Elimination {
+  FlatLists<Entry> acols;
+  FlatLists<std::size_t> row_cols;
+  FlatLists<std::size_t> buckets;
+  FlatLists<Entry> u_stash;
+  std::vector<std::size_t> row_count, col_count;
+  std::vector<char> col_active;
+  // Dense scatter workspace for merging duplicates and applying
+  // updates: pos_in_col[r] = 1 + index of row r inside the column being
+  // touched.
+  std::vector<std::size_t> pos_in_col;
+};
+
+bool SparseLu::factorize(std::size_t n, ColumnSet columns, double pivot_tol) {
   if (columns.size() != n) {
     throw LinalgError("sparse-lu: column count does not match order");
   }
@@ -77,54 +329,60 @@ bool SparseLu::factorize(std::size_t n,
   tail_retained_ = false;
   lower_gate_.reset();
   ltrans_gate_.reset();
-  l_cols_.assign(n, {});
-  u_cols_.assign(n, {});
+  l_start_.assign(n + 1, 0);
+  l_entries_.clear();
   u_diag_.assign(n, 0.0);
   pivot_row_.assign(n, 0);
   row_position_.assign(n, kNoPosition);
   col_of_position_.assign(n, 0);
 
-  // --- active-submatrix working set -------------------------------------
-  // Column-wise values (authoritative) + row-wise patterns (may hold
-  // stale column ids, filtered on use) + exact row/column counts.
-  std::vector<SparseColumn> acols(n);
-  std::vector<std::vector<std::size_t>> row_cols(n);
-  std::vector<std::size_t> row_count(n, 0), col_count(n, 0);
-  std::vector<char> col_active(n, 1);
-
-  // Dense scatter workspace for merging duplicates and applying updates:
-  // pos_in_col[r] = 1 + index of row r inside the column being touched.
-  std::vector<std::size_t> pos_in_col(n, 0);
+  std::size_t input_nnz = 0;
+  for (std::size_t j = 0; j < n; ++j) input_nnz += columns[j].size();
+  l_entries_.reserve(input_nnz);
+  Elimination work;
+  FlatLists<Entry>& acols = work.acols;
+  FlatLists<std::size_t>& row_cols = work.row_cols;
+  FlatLists<std::size_t>& buckets = work.buckets;
+  FlatLists<Entry>& u_stash = work.u_stash;
+  std::vector<std::size_t>& row_count = work.row_count;
+  std::vector<std::size_t>& col_count = work.col_count;
+  std::vector<char>& col_active = work.col_active;
+  std::vector<std::size_t>& pos_in_col = work.pos_in_col;
+  // First blocks: room for the input plus as much fill again (and for
+  // the re-pushes of updated columns in the buckets).
+  acols.reset(n, 2 * input_nnz);
+  row_cols.reset(n, 2 * input_nnz);
+  buckets.reset(n + 1, 2 * n);
+  u_stash.reset(n, input_nnz);
+  row_count.assign(n, 0);
+  col_count.assign(n, 0);
+  col_active.assign(n, 1);
+  pos_in_col.assign(n, 0);
 
   for (std::size_t j = 0; j < n; ++j) {
-    SparseColumn& col = acols[j];
-    col.reserve(columns[j].size());
+    acols.make_room(j, columns[j].size());
     for (const auto& [r, v] : columns[j]) {
       if (r >= n) throw LinalgError("sparse-lu: row index out of range");
       if (v == 0.0) continue;
       if (pos_in_col[r] == 0) {
-        col.emplace_back(r, v);
-        pos_in_col[r] = col.size();
+        acols.push_back(j, {r, v});
+        pos_in_col[r] = acols.size(j);
       } else {
-        col[pos_in_col[r] - 1].second += v;
+        acols.at(j, pos_in_col[r] - 1).second += v;
       }
     }
-    for (const auto& [r, v] : col) pos_in_col[r] = 0;
-    col_count[j] = col.size();
-    for (const auto& [r, v] : col) {
+    for (const auto& [r, v] : acols[j]) pos_in_col[r] = 0;
+    col_count[j] = acols.size(j);
+    for (std::size_t k = 0; k < acols.size(j); ++k) {
+      const std::size_t r = acols.at(j, k).first;
       ++row_count[r];
-      row_cols[r].push_back(j);
+      row_cols.push_back(r, j);
     }
   }
 
   // Column-count buckets (lazy: a column is re-pushed whenever its count
   // changes; stale entries are filtered when popped).
-  std::vector<std::vector<std::size_t>> buckets(n + 1);
-  for (std::size_t j = 0; j < n; ++j) buckets[col_count[j]].push_back(j);
-
-  // U(k', k) entries accumulate per *caller column* while the column is
-  // still active; they become u_cols_ when the column is pivoted.
-  std::vector<SparseColumn> u_stash(n);
+  for (std::size_t j = 0; j < n; ++j) buckets.push_back(col_count[j], j);
 
   for (std::size_t pos = 0; pos < n; ++pos) {
     // --- dense-tail switch --------------------------------------------
@@ -139,13 +397,11 @@ bool SparseLu::factorize(std::size_t n,
       const std::size_t r = n - pos;
       std::size_t act = 0;
       for (std::size_t j = 0; j < n; ++j) {
-        if (col_active[j]) act += acols[j].size();
+        if (col_active[j]) act += acols.size(j);
       }
       if (static_cast<double>(act) >=
           kDenseTailDensity * static_cast<double>(r) * static_cast<double>(r)) {
-        if (!dense_tail(pos, acols, col_active, u_stash, pivot_tol)) {
-          return false;
-        }
+        if (!dense_tail(pos, work, pivot_tol)) return false;
         break;
       }
     }
@@ -171,17 +427,14 @@ bool SparseLu::factorize(std::size_t n,
       if (best_cost != kNoPosition && best_cost <= (count - 1) * (count - 1)) {
         break;
       }
-      std::vector<std::size_t>& bucket = buckets[count];
-      for (std::size_t bi = 0; bi < bucket.size();) {
-        const std::size_t j = bucket[bi];
+      for (std::size_t bi = 0; bi < buckets.size(count);) {
+        const std::size_t j = buckets.at(count, bi);
         if (!col_active[j] || col_count[j] != count) {
-          // Stale: drop via swap-pop.
-          bucket[bi] = bucket.back();
-          bucket.pop_back();
+          buckets.swap_pop(count, bi);  // stale
           continue;
         }
         ++bi;
-        factor_ops_ += acols[j].size();  // candidate scan work
+        factor_ops_ += acols.size(j);  // candidate scan work
         double max_abs = 0.0;
         for (const auto& [r, v] : acols[j]) {
           max_abs = std::max(max_abs, std::abs(v));
@@ -224,81 +477,82 @@ bool SparseLu::factorize(std::size_t n,
     pivot_row_[pos] = rp;
     row_position_[rp] = pos;
     col_of_position_[pos] = cp;
-    u_cols_[pos] = std::move(u_stash[cp]);
     col_active[cp] = 0;
 
     // L multipliers: the pivot column's remaining active entries.
-    SparseColumn& lcol = l_cols_[pos];
-    lcol.reserve(acols[cp].size() - 1);
+    const std::size_t l0 = l_entries_.size();
     for (const auto& [r, v] : acols[cp]) {
       if (r == rp) continue;
-      lcol.emplace_back(r, v / piv);
+      l_entries_.emplace_back(r, v / piv);
       --row_count[r];  // entry (r, cp) leaves the active matrix
     }
-    acols[cp].clear();
-    acols[cp].shrink_to_fit();
+    l_start_[pos + 1] = l_entries_.size();
+    const std::size_t lsize = l_entries_.size() - l0;
+    acols.drop(cp);
 
     // --- right-looking update of every column with an entry in row rp -
-    std::vector<std::size_t>& prow = row_cols[rp];
-    for (const std::size_t j : prow) {
+    // Fill pushes only into rows other than rp, so row rp's list keeps
+    // its length while it is walked (its storage may still move).
+    for (std::size_t pi = 0; pi < row_cols.size(rp); ++pi) {
+      const std::size_t j = row_cols.at(rp, pi);
       if (!col_active[j]) continue;  // stale or already pivoted
-      SparseColumn& col = acols[j];
       // Locate and extract the U entry (rp, j).
       double urj = 0.0;
       bool found = false;
-      for (std::size_t k = 0; k < col.size(); ++k) {
-        if (col[k].first == rp) {
-          urj = col[k].second;
-          col[k] = col.back();
-          col.pop_back();
+      for (std::size_t k = 0; k < acols.size(j); ++k) {
+        if (acols.at(j, k).first == rp) {
+          urj = acols.at(j, k).second;
+          acols.swap_pop(j, k);
           found = true;
           break;
         }
       }
       if (!found) continue;  // stale row entry
-      u_stash[j].emplace_back(pos, urj);
+      u_stash.push_back(j, {pos, urj});
       --col_count[j];
-      factor_ops_ += col.size();  // row-entry search + scatter setup
-      if (urj != 0.0 && !lcol.empty()) {
-        factor_ops_ += lcol.size() + col.size();
+      factor_ops_ += acols.size(j);  // row-entry search + scatter setup
+      if (urj != 0.0 && lsize != 0) {
+        factor_ops_ += lsize + acols.size(j);
         // col_j -= (urj / piv) * col_cp, via scatter on the column.
-        for (std::size_t k = 0; k < col.size(); ++k) {
-          pos_in_col[col[k].first] = k + 1;
+        for (std::size_t k = 0; k < acols.size(j); ++k) {
+          pos_in_col[acols.at(j, k).first] = k + 1;
         }
-        for (const auto& [r, l] : lcol) {
+        for (std::size_t li = l0; li < l0 + lsize; ++li) {
+          const auto [r, l] = l_entries_[li];
           const std::size_t where = pos_in_col[r];
           if (where != 0) {
-            col[where - 1].second -= l * urj;
+            acols.at(j, where - 1).second -= l * urj;
           } else {
-            col.emplace_back(r, -l * urj);  // fill-in
-            pos_in_col[r] = col.size();
+            acols.push_back(j, {r, -l * urj});  // fill-in
+            pos_in_col[r] = acols.size(j);
             ++col_count[j];
             ++row_count[r];
-            row_cols[r].push_back(j);
+            row_cols.push_back(r, j);
           }
         }
-        for (const auto& [r, v] : col) pos_in_col[r] = 0;
+        for (const auto& [r, v] : acols[j]) pos_in_col[r] = 0;
       }
-      buckets[col_count[j]].push_back(j);
+      buckets.push_back(col_count[j], j);
     }
-    prow.clear();
-    prow.shrink_to_fit();
+    row_cols.drop(rp);
     row_count[rp] = 0;
   }
-  factor_nnz_ = n + tail_nnz_;  // U diagonal + retained-tail off-diagonals
-  for (const SparseColumn& c : l_cols_) factor_nnz_ += c.size();
-  for (const SparseColumn& c : u_cols_) factor_nnz_ += c.size();
+  if (tail_dim_ == 0) build_upper(work, nullptr, n);
+  factor_nnz_ = n + tail_nnz_ + l_entries_.size() + u_entries_.size();
 
   // Row adjacency of L for the sparse L^T reachability (the permutation
-  // is only final here, hence the second pass).  Row buffers keep their
-  // capacity across refactorizations.
-  if (l_rows_.size() != n) {
-    l_rows_.assign(n, {});
-  } else {
-    for (std::vector<std::size_t>& row : l_rows_) row.clear();
-  }
+  // is only final here, hence the second pass): a counting sort of L's
+  // entries by pivot row, columns ascending within each row.
+  l_row_start_.assign(n + 1, 0);
+  for (const Entry& e : l_entries_) ++l_row_start_[row_position_[e.first] + 1];
+  for (std::size_t m = 0; m < n; ++m) l_row_start_[m + 1] += l_row_start_[m];
+  l_row_cols_.resize(l_entries_.size());
+  std::vector<std::size_t>& fill = work.pos_in_col;  // per-row write cursor
+  std::copy(l_row_start_.begin(), l_row_start_.end() - 1, fill.begin());
   for (std::size_t k = 0; k < n; ++k) {
-    for (const auto& [r, lv] : l_cols_[k]) l_rows_[row_position_[r]].push_back(k);
+    for (std::size_t i = l_start_[k]; i < l_start_[k + 1]; ++i) {
+      l_row_cols_[fill[row_position_[l_entries_[i].first]]++] = k;
+    }
   }
   reach_mark_.assign(n, 0);
   reach_stack_.clear();
@@ -308,9 +562,42 @@ bool SparseLu::factorize(std::size_t n,
   return true;
 }
 
-bool SparseLu::dense_tail(std::size_t pos0, std::vector<SparseColumn>& acols,
-                          std::vector<char>& col_active,
-                          std::vector<SparseColumn>& u_stash,
+void SparseLu::build_upper(const Elimination& work, const double* tail,
+                           std::size_t pos0) {
+  const std::size_t n = n_;
+  const std::size_t r = tail_dim_;
+  std::size_t total = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    total += work.u_stash.size(col_of_position_[p]);
+  }
+  if (tail != nullptr) {
+    for (std::size_t s = 0; s < r; ++s) {
+      const double* cs = tail + s * r;
+      for (std::size_t t = 0; t < s; ++t) total += cs[t] != 0.0;
+    }
+  }
+  u_start_.resize(n + 1);
+  u_entries_.clear();
+  u_entries_.reserve(total);
+  u_start_[0] = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t cj = col_of_position_[p];
+    const std::span<const Entry> head = work.u_stash[cj];
+    u_entries_.insert(u_entries_.end(), head.begin(), head.end());
+    if (tail != nullptr && p >= pos0) {
+      // Compat path: the dense tail's U half re-emitted into the pair
+      // storage (exact zeros dropped) — every sweep walks it entry by
+      // entry.
+      const double* cs = tail + (p - pos0) * r;
+      for (std::size_t t = 0; t < p - pos0; ++t) {
+        if (cs[t] != 0.0) u_entries_.emplace_back(pos0 + t, cs[t]);
+      }
+    }
+    u_start_[p + 1] = u_entries_.size();
+  }
+}
+
+bool SparseLu::dense_tail(std::size_t pos0, Elimination& work,
                           double pivot_tol) {
   const std::size_t n = n_;
   const std::size_t r = n - pos0;
@@ -328,20 +615,35 @@ bool SparseLu::dense_tail(std::size_t pos0, std::vector<SparseColumn>& acols,
   std::vector<std::size_t> rcol;  // dense col slot -> caller column
   rcol.reserve(r);
   for (std::size_t j = 0; j < n; ++j) {
-    if (col_active[j]) rcol.push_back(j);
+    if (work.col_active[j]) rcol.push_back(j);
   }
   if (rrow.size() != r || rcol.size() != r) {
     throw LinalgError("sparse-lu: dense-tail bookkeeping mismatch");
   }
+  // Partial pivoting permutes rows only: slot s of the tail is column
+  // rcol[s] at position pos0 + s whatever the elimination finds.
+  for (std::size_t s = 0; s < r; ++s) {
+    col_of_position_[pos0 + s] = rcol[s];
+    work.col_active[rcol[s]] = 0;
+  }
+  // The row patterns and buckets are done; free them (and, when the
+  // tail will be retained, the pending U lists, once U is written) so
+  // they do not sit under the r x r buffer's peak.
+  work.row_cols.release();
+  work.buckets.release();
+  if (!emit_tail_sparse_) {
+    build_upper(work, nullptr, pos0);
+    work.u_stash.release();
+  }
 
   // Column-major scatter; the sparse working columns are consumed.
-  Vector d(r * r, 0.0);
+  tail_.assign(r * r, 0.0);
   for (std::size_t cs = 0; cs < r; ++cs) {
-    double* col = d.data() + cs * r;
-    for (const auto& [row, v] : acols[rcol[cs]]) col[rof[row]] = v;
-    acols[rcol[cs]].clear();
-    acols[rcol[cs]].shrink_to_fit();
+    double* col = tail_.data() + cs * r;
+    const std::size_t j = rcol[cs];
+    for (const auto& [row, v] : work.acols[j]) col[rof[row]] = v;
   }
+  work.acols.release();
 
   // Partial-pivoted elimination, strongest in column (stricter than
   // the sparse phase's threshold rule; the tail has no sparsity left to
@@ -349,7 +651,8 @@ bool SparseLu::dense_tail(std::size_t pos0, std::vector<SparseColumn>& acols,
   // bit-for-bit the same at any thread count.
   const auto t_tail = std::chrono::steady_clock::now();
   const bool ok =
-      dense_lu_factor(d.data(), r, rrow.data(), pivot_tol, lu_threads()) == r;
+      dense_lu_factor(tail_.data(), r, rrow.data(), pivot_tol, lu_threads()) ==
+      r;
   tail_ms_ = std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - t_tail)
                  .count();
@@ -367,30 +670,22 @@ bool SparseLu::dense_tail(std::size_t pos0, std::vector<SparseColumn>& acols,
   // the block's entries end up living.
   for (std::size_t s = 0; s < r; ++s) {
     const std::size_t p = pos0 + s;
-    const std::size_t cj = rcol[s];
-    u_diag_[p] = d[s * r + s];
+    u_diag_[p] = tail_[s * r + s];
     pivot_row_[p] = rrow[s];
     row_position_[rrow[s]] = p;
-    col_of_position_[p] = cj;
-    u_cols_[p] = std::move(u_stash[cj]);
-    col_active[cj] = 0;
   }
   if (emit_tail_sparse_) {
     // Compat path: emit into the factor's sparse pair structures (exact
     // zeros dropped) — every sweep walks them entry by entry.
+    build_upper(work, tail_.data(), pos0);
     for (std::size_t s = 0; s < r; ++s) {
-      const std::size_t p = pos0 + s;
-      const double* cs = d.data() + s * r;
-      for (std::size_t t = 0; t < s; ++t) {
-        if (cs[t] != 0.0) u_cols_[p].emplace_back(pos0 + t, cs[t]);
-      }
-      SparseColumn& lcol = l_cols_[p];
-      lcol.reserve(r - s - 1);
+      const double* cs = tail_.data() + s * r;
       for (std::size_t i = s + 1; i < r; ++i) {
-        if (cs[i] != 0.0) lcol.emplace_back(rrow[i], cs[i]);
+        if (cs[i] != 0.0) l_entries_.emplace_back(rrow[i], cs[i]);
       }
+      l_start_[pos0 + s + 1] = l_entries_.size();
     }
-    tail_.clear();
+    Vector().swap(tail_);
     return true;
   }
   // Retain the elimination buffer: the tail's L and U halves stay
@@ -398,14 +693,38 @@ bool SparseLu::dense_tail(std::size_t pos0, std::vector<SparseColumn>& acols,
   // off-diagonal nonzero count is extracted (the fill accounting must
   // not depend on the storage mode).
   tail_retained_ = true;
-  tail_ = std::move(d);
   for (std::size_t s = 0; s < r; ++s) {
     const double* cs = tail_.data() + s * r;
     std::size_t count = 0;
     for (std::size_t i = 0; i < r; ++i) count += cs[i] != 0.0;
     tail_nnz_ += count - (cs[s] != 0.0);
   }
+  // Tail columns keep no L pairs: their offsets close at L's end.
+  for (std::size_t s = 0; s < r; ++s) {
+    l_start_[pos0 + s + 1] = l_entries_.size();
+  }
   return true;
+}
+
+void SparseLu::take_upper(std::vector<SparseColumn>& u_cols, Vector& u_diag) {
+  u_cols.resize(n_);
+  // A list keeps its capacity unless that is more than twice what it
+  // now needs — typically a label that held a Forrest–Tomlin spike — so
+  // that the spikes of past updates do not pin memory for the rest of
+  // the solve.
+  for (std::size_t k = 0; k < n_; ++k) {
+    const auto first = u_entries_.begin() + u_start_[k];
+    const auto last = u_entries_.begin() + u_start_[k + 1];
+    if (u_cols[k].capacity() > 2 * (u_start_[k + 1] - u_start_[k])) {
+      SparseColumn(first, last).swap(u_cols[k]);
+    } else {
+      u_cols[k].assign(first, last);
+    }
+  }
+  u_diag.swap(u_diag_);
+  u_diag_.clear();
+  std::vector<Entry>().swap(u_entries_);
+  u_start_.clear();
 }
 
 namespace {
@@ -491,9 +810,9 @@ bool SparseLu::lower_solve_sparse(IndexedVector& x, IndexedVector& z) const {
   if (n_ < ProbeGate::kMinDim || lower_gate_.allowed()) {
     sparse = reach_from(
         reach_seeds_, sparse_reach_cap(), sparse_edge_budget(), limit,
-        [&](std::size_t k) { return l_cols_[k].size(); },
+        [&](std::size_t k) { return l_start_[k + 1] - l_start_[k]; },
         [&](std::size_t k, std::size_t i) {
-          return row_position_[l_cols_[k][i].first];
+          return row_position_[l_entries_[l_start_[k] + i].first];
         },
         reach_mark_, reach_stack_, reach_edge_, reach_);
     lower_gate_.report(sparse);
@@ -513,7 +832,7 @@ bool SparseLu::lower_solve_sparse(IndexedVector& x, IndexedVector& z) const {
     const double zk = x.values[pivot_row_[k]];
     if (zk == 0.0) continue;
     z.set(k, zk);
-    for (const auto& [r, lv] : l_cols_[k]) {
+    for (const auto& [r, lv] : l_col(k)) {
       x.touch(r);
       x.values[r] -= zk * lv;
     }
@@ -527,7 +846,7 @@ bool SparseLu::lower_transpose_solve_sparse(IndexedVector& t,
     throw LinalgError("sparse-lu: sparse btran size mismatch");
   }
   // t's pattern is already in position space; position k is lit when an
-  // L entry in a lit pivot row belongs to column k (the l_rows_ edges).
+  // L entry in a lit pivot row belongs to column k (the L row adjacency).
   // As in the forward solve, a pattern that reaches the retained tail
   // bails to the dense sweep.
   const std::size_t limit = tail_retained_ ? n_ - tail_dim_ : n_;
@@ -535,8 +854,10 @@ bool SparseLu::lower_transpose_solve_sparse(IndexedVector& t,
   if (n_ < ProbeGate::kMinDim || ltrans_gate_.allowed()) {
     sparse = reach_from(
         t.pattern, sparse_reach_cap(), sparse_edge_budget(), limit,
-        [&](std::size_t m) { return l_rows_[m].size(); },
-        [&](std::size_t m, std::size_t i) { return l_rows_[m][i]; },
+        [&](std::size_t m) { return l_row_start_[m + 1] - l_row_start_[m]; },
+        [&](std::size_t m, std::size_t i) {
+          return l_row_cols_[l_row_start_[m] + i];
+        },
         reach_mark_, reach_stack_, reach_edge_, reach_);
     ltrans_gate_.report(sparse);
   }
@@ -553,7 +874,7 @@ bool SparseLu::lower_transpose_solve_sparse(IndexedVector& t,
   for (const std::size_t kk : reach_) {
     t.touch(kk);
     double acc = t.values[kk];
-    for (const auto& [r, lv] : l_cols_[kk]) {
+    for (const auto& [r, lv] : l_col(kk)) {
       acc -= lv * t.values[row_position_[r]];
     }
     t.values[kk] = acc;
@@ -579,7 +900,7 @@ void SparseLu::lower_solve_core(Vector& x, Vector& z,
                               // the invariant the sparse replay matches
     z[k] = zk;
     if (support != nullptr) support->push_back(k);
-    for (const auto& [r, lv] : l_cols_[k]) x[r] -= zk * lv;
+    for (const auto& [r, lv] : l_col(k)) x[r] -= zk * lv;
   }
   if (tail_retained_ && tail_dim_ > 0) {
     const std::size_t r = tail_dim_;
@@ -615,7 +936,7 @@ void SparseLu::lower_transpose_solve_core(Vector& t, Vector& x) const {
   }
   for (std::size_t kk = limit; kk-- > 0;) {
     double acc = t[kk];
-    for (const auto& [r, lv] : l_cols_[kk]) acc -= lv * t[row_position_[r]];
+    for (const auto& [r, lv] : l_col(kk)) acc -= lv * t[row_position_[r]];
     t[kk] = acc;
   }
   // Scatter back to original row indexing: y[pivot_row_[k]] = t[k].
@@ -644,14 +965,14 @@ void SparseLu::ftran(Vector& x) const {
     for (std::size_t jj = n_; jj-- > limit;) {
       const double xj = z[jj];
       if (xj == 0.0) continue;
-      for (const auto& [k, ukj] : u_cols_[jj]) z[k] -= xj * ukj;
+      for (const auto& [k, ukj] : u_col(jj)) z[k] -= xj * ukj;
     }
   }
   for (std::size_t jj = limit; jj-- > 0;) {
     const double xj = z[jj] / u_diag_[jj];
     z[jj] = xj;
     if (xj == 0.0) continue;
-    for (const auto& [k, ukj] : u_cols_[jj]) z[k] -= xj * ukj;
+    for (const auto& [k, ukj] : u_col(jj)) z[k] -= xj * ukj;
   }
   // Undo the fill-reducing column permutation: position jj solved for
   // the caller's column col_of_position_[jj].
@@ -660,7 +981,7 @@ void SparseLu::ftran(Vector& x) const {
 
 void SparseLu::btran(Vector& x) const {
   if (x.size() != n_) throw LinalgError("sparse-lu: btran size mismatch");
-  // Forward solve U^T t = c: u_cols_[j] holds exactly the U(k, j), k < j.
+  // Forward solve U^T t = c: U column j holds exactly the U(k, j), k < j.
   // Input is indexed by caller column; map it through the fill-reducing
   // column permutation first.  Tail columns gather their sparse heads
   // here (those slots are final by then), then the dense kernel folds
@@ -670,13 +991,13 @@ void SparseLu::btran(Vector& x) const {
   const std::size_t limit = tail_retained_ ? n_ - tail_dim_ : n_;
   for (std::size_t j = 0; j < limit; ++j) {
     double acc = x[col_of_position_[j]];
-    for (const auto& [k, ukj] : u_cols_[j]) acc -= ukj * t[k];
+    for (const auto& [k, ukj] : u_col(j)) acc -= ukj * t[k];
     t[j] = acc / u_diag_[j];
   }
   if (tail_retained_ && tail_dim_ > 0) {
     for (std::size_t j = limit; j < n_; ++j) {
       double acc = x[col_of_position_[j]];
-      for (const auto& [k, ukj] : u_cols_[j]) acc -= ukj * t[k];
+      for (const auto& [k, ukj] : u_col(j)) acc -= ukj * t[k];
       t[j] = acc;
     }
     tail_upper_transpose_solve(tail_.data(), tail_dim_,
@@ -689,8 +1010,7 @@ void SparseLu::btran(Vector& x) const {
 // BasisFactorization: Forrest–Tomlin updates over a dynamic U
 // ---------------------------------------------------------------------
 
-bool BasisFactorization::refactorize(std::size_t n,
-                                     const std::vector<SparseColumn>& columns) {
+bool BasisFactorization::refactorize(std::size_t n, ColumnSet columns) {
   etas_.clear();
   eta_nonzeros_ = 0;
   update_fill_ = 0;
@@ -704,10 +1024,11 @@ bool BasisFactorization::refactorize(std::size_t n,
   if (!lu_.factorize(n, columns, pivot_tol_)) return false;
   n_ = n;
 
-  // Move U into the dynamic (label-indexed) structure — the SparseLu
-  // keeps only its L half and permutations, which is all the split
-  // solves need.  Labels start as elimination positions, the order as
-  // the identity; updates only ever rewrite the order arrays.  A
+  // Copy U into the dynamic (label-indexed) lists, which keep their
+  // capacity — the SparseLu keeps only its L half and permutations,
+  // which is all the split solves need.  Labels start as elimination
+  // positions, the order as the identity; updates only ever rewrite the
+  // order arrays.  A
   // retained dense tail becomes the dense block: its labels are exactly
   // the suffix [tail_start, n), so block offsets are label offsets.
   lu_.take_upper(ucols_, udiag_);

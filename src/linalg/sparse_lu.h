@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,30 @@ namespace dpm::linalg {
 
 /// A sparse column: (row, value) pairs, unique rows.
 using SparseColumn = std::vector<std::pair<std::size_t, double>>;
+
+/// The n columns of a square matrix, read in place: either a whole
+/// column list, or the columns of a larger pool picked by index (a
+/// simplex basis over its LP's columns), so a refactorization never
+/// copies its input.  Holds references: the pool (and the pick list)
+/// must outlive the call it is passed to.
+class ColumnSet {
+ public:
+  // Implicit: every caller that has the columns as one list passes it.
+  ColumnSet(const std::vector<SparseColumn>& columns) noexcept
+      : pool_(&columns), size_(columns.size()) {}
+  ColumnSet(const std::vector<SparseColumn>& pool,
+            const std::vector<std::size_t>& pick) noexcept
+      : pool_(&pool), pick_(&pick), size_(pick.size()) {}
+  std::size_t size() const noexcept { return size_; }
+  const SparseColumn& operator[](std::size_t j) const {
+    return (*pool_)[pick_ == nullptr ? j : (*pick_)[j]];
+  }
+
+ private:
+  const std::vector<SparseColumn>* pool_;
+  const std::vector<std::size_t>* pick_ = nullptr;
+  std::size_t size_;
+};
 
 /// Adaptive reachability-probe gate.  A hypersparse solve starts with a
 /// DFS probe whose only product, when the factor graph is well
@@ -86,6 +111,26 @@ struct ProbeGate {
 /// y by original row).  This is exactly the index convention the revised
 /// simplex needs: ftran maps right-hand sides to basic-variable values,
 /// btran maps basic costs to row duals.
+///
+/// Storage and allocations.  L and U are compressed columns: one
+/// offsets array plus one (index, value) entries array per factor, in
+/// elimination-position order; the row adjacency of L has the same
+/// shape.  L, the permutations and a retained dense-tail buffer keep
+/// their capacity across factorizations of one object.  The
+/// elimination's work lists (active column values, row patterns, count
+/// buckets, and the U entries each column collects until it is
+/// pivoted) live in four list arenas that exist only for one
+/// factorize() call: each holds its lists in a few heap blocks, sized
+/// from the input's nonzeros, recycles the slots that lists outgrow or
+/// drop, and compacts itself once the unused slots add up to a block,
+/// so it needs about the memory the per-list vectors it replaces did.
+/// The row patterns and buckets (and, when the tail is retained, the U
+/// lists, once U is written) are freed before the dense tail's r x r
+/// buffer is sized, the column values right after they are scattered
+/// into it.  A factorization therefore makes a bounded number of heap
+/// allocations — about two dozen for a served fleet basis once the
+/// kept buffers have their size, a few dozen more on a heavy-fill basis,
+/// whose arenas grow block by block — instead of several per basis row.
 class SparseLu {
  public:
   SparseLu() = default;
@@ -93,8 +138,7 @@ class SparseLu {
   /// Factorizes the n x n matrix whose j-th column is `columns[j]`.
   /// Returns false (leaving the object unusable) when no pivot of
   /// magnitude above `pivot_tol` remains — numerically singular.
-  bool factorize(std::size_t n, const std::vector<SparseColumn>& columns,
-                 double pivot_tol = 1e-11);
+  bool factorize(std::size_t n, ColumnSet columns, double pivot_tol = 1e-11);
 
   std::size_t order() const noexcept { return n_; }
   bool valid() const noexcept { return valid_; }
@@ -183,20 +227,18 @@ class SparseLu {
   /// false on dense fallback.
   bool lower_transpose_solve_sparse(IndexedVector& t, IndexedVector& x) const;
 
-  /// Moves the U half (columns + diagonal) out of this object — for a
-  /// host that maintains its own dynamic U (BasisFactorization).  After
-  /// the call only lower_solve / lower_transpose_solve and the
-  /// accessors below remain usable; ftran/btran would read the gutted
-  /// U and must not be called.  When the dense tail was retained the
-  /// moved columns hold only the sparse heads of tail columns; the
-  /// above-diagonal tail entries stay in `tail_values()` for the host
-  /// to load into its own DenseBlock.
-  void take_upper(std::vector<SparseColumn>& u_cols, Vector& u_diag) {
-    u_cols = std::move(u_cols_);
-    u_diag = std::move(u_diag_);
-    u_cols_.clear();
-    u_diag_.clear();
-  }
+  /// Hands the U half (columns + diagonal) to a host that maintains
+  /// its own dynamic U (BasisFactorization): column k of U is copied
+  /// into `u_cols[k]` (cleared first, so the list keeps its capacity
+  /// unless that is more than twice the column's size), the diagonal is
+  /// swapped into `u_diag`, and this object frees its own U entries —
+  /// one copy of U lives on, the host's.  After the call only
+  /// lower_solve / lower_transpose_solve and the accessors below remain
+  /// usable; ftran/btran would read the gutted U and must not be called.
+  /// When the dense tail was retained the columns hold only the sparse
+  /// heads of tail columns; the above-diagonal tail entries stay in
+  /// `tail_values()` for the host to load into its own DenseBlock.
+  void take_upper(std::vector<SparseColumn>& u_cols, Vector& u_diag);
   /// Elimination position -> caller column of the pivot chosen there.
   const std::vector<std::size_t>& col_of_position() const noexcept {
     return col_of_position_;
@@ -239,9 +281,13 @@ class SparseLu {
   static constexpr std::size_t kDenseTailMax = 2048;
   static constexpr std::size_t kDenseTailCheck = 32;
   static constexpr double kDenseTailDensity = 0.15;
-  bool dense_tail(std::size_t pos0, std::vector<SparseColumn>& acols,
-                  std::vector<char>& col_active,
-                  std::vector<SparseColumn>& u_stash, double pivot_tol);
+  struct Elimination;  // one factorize() call's work lists (sparse_lu.cpp)
+  bool dense_tail(std::size_t pos0, Elimination& work, double pivot_tol);
+  /// Writes U's columns in position order from the pending lists, plus
+  /// a re-emitted dense tail's above-diagonal entries when `tail` is
+  /// non-null (column-major, tail_dim_ square, from position pos0).
+  void build_upper(const Elimination& work, const double* tail,
+                   std::size_t pos0);
 
   /// Dense sweep cores shared by the plain solves and the hypersparse
   /// fallbacks (both must run the exact same loop over the exact same
@@ -259,23 +305,40 @@ class SparseLu {
   double tail_ms_ = 0.0;          // dense-tail elimination wall time
   bool emit_tail_sparse_ = false;
   bool tail_retained_ = false;
-  Vector tail_;                    // retained elimination buffer (col-major)
+  // Elimination buffer of the dense tail (col-major), retained when
+  // tail_retained_; its capacity is reused by the next factorization.
+  Vector tail_;
   mutable Vector tail_work_;       // lower_solve tail gather workspace
-  // L column k: multipliers at *original* row indices (unit diagonal
-  // implicit).  U column k: entries U(k', k) at pivot positions k' < k,
-  // plus the diagonal.  Positions follow the elimination order;
+  // Compressed columns.  L column k is l_entries_[l_start_[k],
+  // l_start_[k + 1]): multipliers at *original* row indices (unit
+  // diagonal implicit).  U column k is u_entries_[u_start_[k],
+  // u_start_[k + 1]): entries U(k', k) at pivot positions k' < k; the
+  // diagonal is u_diag_.  Positions follow the elimination order;
   // col_of_position_ maps them back to caller column indices.
-  std::vector<SparseColumn> l_cols_;
-  std::vector<SparseColumn> u_cols_;
+  using Entry = std::pair<std::size_t, double>;
+  std::vector<std::size_t> l_start_;
+  std::vector<Entry> l_entries_;
+  std::vector<std::size_t> u_start_;
+  std::vector<Entry> u_entries_;
   Vector u_diag_;
+  std::span<const Entry> l_col(std::size_t k) const noexcept {
+    return {l_entries_.data() + l_start_[k],
+            l_entries_.data() + l_start_[k + 1]};
+  }
+  std::span<const Entry> u_col(std::size_t k) const noexcept {
+    return {u_entries_.data() + u_start_[k],
+            u_entries_.data() + u_start_[k + 1]};
+  }
   std::vector<std::size_t> pivot_row_;     // pivot position -> original row
   std::vector<std::size_t> row_position_;  // original row -> pivot position
   std::vector<std::size_t> col_of_position_;  // position -> caller column
-  // Row adjacency of L in position space: l_rows_[m] lists the columns
-  // k whose l_cols_[k] holds an entry in pivot row m — the reverse
-  // edges the sparse L^T solve's reachability walks.  Built once per
-  // factorization (second pass, after the permutation is final).
-  std::vector<std::vector<std::size_t>> l_rows_;
+  // Row adjacency of L in position space, compressed like L:
+  // l_row_cols_[l_row_start_[m], l_row_start_[m + 1]) lists, ascending,
+  // the columns k whose L column holds an entry in pivot row m — the
+  // reverse edges the sparse L^T solve's reachability walks.  Built once
+  // per factorization (second pass, after the permutation is final).
+  std::vector<std::size_t> l_row_start_;
+  std::vector<std::size_t> l_row_cols_;
   // Reachability-DFS scratch (per-object, like the other mutable
   // workspaces: one thread per factorization object).
   mutable std::vector<char> reach_mark_;
@@ -308,8 +371,11 @@ class BasisFactorization {
         work_ratio_(work_ratio) {}
 
   /// (Re)factorizes from scratch; clears the update transforms.
-  /// Returns false on a singular basis.
-  bool refactorize(std::size_t n, const std::vector<SparseColumn>& columns);
+  /// Returns false on a singular basis.  The new U is copied into the
+  /// existing per-label lists, which keep their capacity (see
+  /// SparseLu::take_upper), so refactoring a basis of an unchanged shape
+  /// allocates only SparseLu's per-call work lists.
+  bool refactorize(std::size_t n, ColumnSet columns);
 
   /// Dense-block toggle (default on): when enabled, the factorization's
   /// dense tail is kept as a real dense block — ftran/btran route it

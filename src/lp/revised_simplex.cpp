@@ -272,10 +272,8 @@ class RevisedSimplex {
   }
 
   bool refactorize() {
-    std::vector<linalg::SparseColumn> bcols(m_);
-    for (std::size_t i = 0; i < m_; ++i) bcols[i] = cols_[basis_[i]];
     const double t0 = now_ms();
-    const bool ok = factor_.refactorize(m_, bcols);
+    const bool ok = factor_.refactorize(m_, {cols_, basis_});
     if (opt_.stats != nullptr) {
       opt_.stats->refactorizations += 1;
       opt_.stats->refactor_ms += now_ms() - t0;
@@ -765,14 +763,7 @@ class RevisedSimplex {
       // from upper) pushes the leaving basic toward its violated
       // bound.  Ratio = distance of the reduced cost to its sign
       // boundary per unit of row entry.
-      struct Cand {
-        std::size_t j;
-        double ratio;
-        double alpha_abs;
-        double rc;
-      };
-      std::vector<Cand> cands;
-      cands.reserve(alpha_touched_.size());
+      cands_.clear();
       for (const std::size_t j : alpha_touched_) {
         if (in_basis_[j] || upper_[j] <= 0.0) continue;
         const double alpha = alpha_acc_[j];
@@ -782,15 +773,15 @@ class RevisedSimplex {
         const double rc = cost2_[j] - column_dot(j, y_);
         const double dist = at_upper_[j] ? std::max(-rc, 0.0)
                                          : std::max(rc, 0.0);
-        cands.push_back({j, dist / std::abs(alpha), std::abs(alpha), rc});
+        cands_.push_back({j, dist / std::abs(alpha), std::abs(alpha), rc});
       }
       for (const std::size_t j : alpha_touched_) alpha_mark_[j] = 0;
       alpha_touched_.clear();
-      if (cands.empty()) {
+      if (cands_.empty()) {
         res.status = LpStatus::kInfeasible;
         return res;
       }
-      std::sort(cands.begin(), cands.end(),
+      std::sort(cands_.begin(), cands_.end(),
                 [](const Cand& a, const Cand& b) {
                   if (a.ratio != b.ratio) return a.ratio < b.ratio;
                   return a.alpha_abs > b.alpha_abs;
@@ -804,7 +795,7 @@ class RevisedSimplex {
       linalg::IndexedVector& flip = flipwork_;
       flip.clear();
       bool any_flip = false;
-      for (const Cand& c : cands) {
+      for (const Cand& c : cands_) {
         const double range = upper_[c.j];
         const bool absorbable =
             std::isfinite(range) && c.alpha_abs * range < remaining;
@@ -1178,6 +1169,14 @@ class RevisedSimplex {
   linalg::Vector alpha_acc_;
   std::vector<char> alpha_mark_;
   std::vector<std::size_t> alpha_touched_;
+  // The dual ratio test's eligible entering columns, refilled per pivot.
+  struct Cand {
+    std::size_t j;
+    double ratio;
+    double alpha_abs;
+    double rc;
+  };
+  std::vector<Cand> cands_;
   linalg::BasisFactorization factor_;
 };
 

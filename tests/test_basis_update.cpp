@@ -4,16 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 
 #include "linalg/sparse_lu.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
+#include "robust/fault_injection.h"
 
 namespace dpm {
 namespace {
 
 using linalg::BasisFactorization;
+using linalg::IndexedVector;
 using linalg::SparseColumn;
 using linalg::Vector;
 
@@ -175,6 +178,126 @@ TEST(FtUpdate, AmortizedTriggerFiresUnderSweepLoad) {
     fired = fac.needs_refactor();
   }
   EXPECT_TRUE(fired) << "amortized trigger never fired";
+}
+
+// ---------------------------------------------------------------------
+// Reuse of one factorization object
+// ---------------------------------------------------------------------
+
+/// An n-row basis whose trailing `tail` columns form a dense block over
+/// the trailing rows, so the factorization takes its dense-tail path (a
+/// retained block from n = BasisFactorization::kBlockMinBasis up).
+std::vector<SparseColumn> basis_with_dense_tail(std::mt19937_64& gen, int n,
+                                                int tail, int nnz) {
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::vector<SparseColumn> cols(n);
+  for (int j = 0; j < n - tail; ++j) {
+    cols[j] = random_column(gen, n, nnz, static_cast<std::size_t>(j), 6.0);
+  }
+  for (int j = n - tail; j < n; ++j) {
+    for (int i = n - tail; i < n; ++i) {
+      cols[j].emplace_back(i, i == j ? 6.0 + u(gen) : u(gen));
+    }
+  }
+  return cols;
+}
+
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Runs the same sweep and update traffic through two factorizations
+/// of one basis and asserts they stay bit-identical: every dense and
+/// hypersparse ftran/btran of a fixed rhs set, the refactorization
+/// trigger after each sweep round, and the FT updates in between.
+void expect_identical_traffic(BasisFactorization& a, BasisFactorization& b,
+                              int n, std::uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::uniform_int_distribution<int> pick(0, n - 1);
+  std::vector<Vector> rhs(3, Vector(n, 0.0));
+  for (double& v : rhs[0]) v = u(gen);  // dense
+  rhs[1][static_cast<std::size_t>(pick(gen))] = 1.0;  // unit
+  for (int k = 0; k < 3; ++k) {
+    rhs[2][static_cast<std::size_t>(pick(gen))] = u(gen);
+  }
+  const auto sparse_of = [n](const Vector& v) {
+    IndexedVector x(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (v[i] != 0.0) x.set(i, v[i]);
+    }
+    return x;
+  };
+  for (int round = 0; round < 6; ++round) {
+    for (const Vector& r : rhs) {
+      Vector fa = r, fb = r, ba = r, bb = r;
+      a.ftran(fa);
+      b.ftran(fb);
+      ASSERT_TRUE(same_bits(fa, fb)) << "ftran, round " << round;
+      a.btran(ba);
+      b.btran(bb);
+      ASSERT_TRUE(same_bits(ba, bb)) << "btran, round " << round;
+      IndexedVector sa = sparse_of(r), sb = sparse_of(r);
+      a.ftran_sparse(sa);
+      b.ftran_sparse(sb);
+      ASSERT_TRUE(same_bits(sa.values, sb.values)) << "ftran_sparse";
+      sa = sparse_of(r);
+      sb = sparse_of(r);
+      a.btran_sparse(sa);
+      b.btran_sparse(sb);
+      ASSERT_TRUE(same_bits(sa.values, sb.values)) << "btran_sparse";
+    }
+    ASSERT_EQ(a.needs_refactor(), b.needs_refactor()) << "round " << round;
+    const std::size_t slot = static_cast<std::size_t>(pick(gen));
+    const SparseColumn incoming = random_column(gen, n, 4, slot, 6.0);
+    Vector da(n, 0.0);
+    for (const auto& [row, v] : incoming) da[row] += v;
+    Vector db = da;
+    a.ftran(da, /*cache_spike=*/true);
+    b.ftran(db, /*cache_spike=*/true);
+    ASSERT_TRUE(same_bits(da, db));
+    ASSERT_EQ(a.update(slot, da), b.update(slot, db)) << "round " << round;
+  }
+}
+
+TEST(FactorizationReuse, RefactorizingLeavesNoStaleState) {
+  // One object through a basis A, a larger basis B, a structurally
+  // singular basis, an injected factorization fault, and A again must
+  // end up indistinguishable from a fresh factorization of A: every
+  // buffer it keeps across refactorizations is rewritten, whatever
+  // sizes and failures came before.
+  std::mt19937_64 gen(2026);
+  const int na = 400, nb = 520;
+  const std::vector<SparseColumn> a = basis_with_dense_tail(gen, na, 100, 4);
+  const std::vector<SparseColumn> b = basis_with_dense_tail(gen, nb, 100, 6);
+  std::vector<SparseColumn> singular = a;
+  singular[7] = singular[3];  // two equal columns, ...
+  singular[7].emplace_back(5, 0.0);  // ... one with a stored zero
+  singular[11].clear();              // and an empty one
+
+  BasisFactorization reused;
+  ASSERT_TRUE(reused.refactorize(na, a));
+  ASSERT_GT(reused.block_dim(), 0u);  // the dense-tail path is exercised
+  ASSERT_TRUE(reused.refactorize(nb, b));
+  ASSERT_GT(reused.block_dim(), 0u);
+  EXPECT_FALSE(reused.refactorize(na, singular));
+  {
+    robust::FaultPlan plan;
+    plan.site = robust::FaultSite::kLuFactorize;
+    robust::FaultScope armed(plan);
+    EXPECT_FALSE(reused.refactorize(na, a));
+    EXPECT_EQ(armed.fired(), 1u);
+  }
+  ASSERT_TRUE(reused.refactorize(na, a));
+
+  BasisFactorization fresh;
+  ASSERT_TRUE(fresh.refactorize(na, a));
+  EXPECT_EQ(reused.factor_nonzeros(), fresh.factor_nonzeros());
+  EXPECT_EQ(reused.tail_dim(), fresh.tail_dim());
+  EXPECT_EQ(reused.block_dim(), fresh.block_dim());
+  EXPECT_EQ(reused.current_nonzeros(), fresh.current_nonzeros());
+  expect_identical_traffic(reused, fresh, na, 99);
 }
 
 // ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 
 #include "linalg/lu.h"
@@ -197,6 +198,52 @@ TEST(SparseLuTest, MarkowitzKeepsArrowheadFillLinear) {
   }
   const Vector ax = dense * x;
   for (int i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-9);
+}
+
+TEST(SparseLuTest, HeavyFillFactorizationSolvesAccurately) {
+  // A random sparse matrix plus one dense row fills in heavily before
+  // the dense-tail switch: the elimination's work lists outgrow their
+  // first storage blocks, recycle and split freed slots, and get
+  // compacted.  The factors must still solve B x = b and B^T y = b, and
+  // re-factorizing the same object must reproduce them.
+  const std::size_t n = 2000;
+  std::mt19937_64 gen(7);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+  std::vector<SparseColumn> cols(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    cols[j].emplace_back(j, 4.0 + u(gen));
+    for (int e = 0; e < 4; ++e) cols[j].emplace_back(pick(gen), u(gen));
+    cols[j].emplace_back(n - 1, 1.0 + u(gen));  // the dense row
+  }
+  SparseLu lu;
+  ASSERT_TRUE(lu.factorize(n, cols));
+  ASSERT_GT(lu.tail_dim(), 0u);
+  const std::size_t nnz = lu.factor_nonzeros();
+  EXPECT_GT(nnz, 50 * n);  // heavy fill indeed
+
+  Vector b(n);
+  for (auto& v : b) v = u(gen);
+  Vector x = b;
+  lu.ftran(x);
+  Vector y = b;
+  lu.btran(y);
+  Vector bx(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    double bty = 0.0;
+    for (const auto& [r, v] : cols[j]) {
+      bx[r] += v * x[j];
+      bty += v * y[r];
+    }
+    EXPECT_NEAR(bty, b[j], 1e-8) << "B^T y, column " << j;
+  }
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(bx[i], b[i], 1e-8) << i;
+
+  ASSERT_TRUE(lu.factorize(n, cols));
+  EXPECT_EQ(lu.factor_nonzeros(), nnz);
+  Vector x2 = b;
+  lu.ftran(x2);
+  EXPECT_EQ(std::memcmp(x.data(), x2.data(), n * sizeof(double)), 0);
 }
 
 TEST(SparseLuTest, SumsDuplicateEntriesWithinColumn) {
