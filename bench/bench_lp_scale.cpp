@@ -10,7 +10,9 @@
 //      (a few modified-policy-iteration sweeps nominate the greedy
 //      policy's occupation-measure columns, see dpm/crash.h), plain
 //      cold revised simplex, and the dense tableau (capped) — same
-//      statuses/objectives, wall-clock compared.  Assembly time,
+//      statuses/objectives, wall-clock compared.  The LP is assembled
+//      by the production function dpm::balance_lp (so assembly time
+//      includes its variable and row names).  Assembly time,
 //      constraint nonzeros, pivot counts, refactorization counts, the
 //      update-vs-sweep cost split, hypersparsity and dense-block
 //      telemetry are recorded so the sparse-pipeline story stays
@@ -106,51 +108,34 @@ SyntheticMdp synthetic_mdp(std::size_t n, std::size_t na, std::size_t succ,
           std::move(metric)};
 }
 
-/// Balance equations sum_a x(j,a) - gamma sum_{s,a} P_a(s,j) x(s,a) =
-/// p0_j plus one loose capacity row over `metric`.
+/// Per-(s, a) values of a layout-[s*na + a] vector as a metric.
+StateActionMetric per_pair(const std::vector<double>& v, std::size_t na) {
+  return [&v, na](std::size_t s, std::size_t a) { return v[s * na + a]; };
+}
+
+/// LP2 of the synthetic MDP through the production assembly
+/// (dpm::balance_lp): balance rows with rhs p0 = uniform, plus one loose
+/// capacity row over `metric`.
 lp::LpProblem assemble_lp(const SyntheticMdp& mdp, double gamma) {
   const std::size_t n = mdp.chain.num_states();
   const std::size_t na = mdp.chain.num_commands();
-  lp::LpProblem p;
-  for (const double c : mdp.cost) p.add_variable(c);
-
-  std::vector<lp::Constraint> balance(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    balance[j].sense = lp::Sense::kEq;
-    balance[j].rhs = 1.0 / static_cast<double>(n);
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t a = 0; a < na; ++a) {
-      const std::size_t col = s * na + a;
-      balance[s].terms.emplace_back(col, 1.0);
-      for (const auto& [j, w] : mdp.chain.row(a, s)) {
-        balance[j].terms.emplace_back(col, -gamma * w);
-      }
-    }
-  }
-  for (auto& c : balance) p.add_constraint(std::move(c));
-
-  lp::Constraint cap;
-  cap.sense = lp::Sense::kLe;
-  cap.name = "metric";
-  cap.terms.reserve(n * na);
-  double max_metric = 0.0;
-  for (std::size_t col = 0; col < n * na; ++col) {
-    cap.terms.emplace_back(col, mdp.metric[col]);
-    max_metric = std::max(max_metric, mdp.metric[col]);
-  }
-  cap.rhs = 0.8 * max_metric / (1.0 - gamma);
-  p.add_constraint(std::move(cap));
+  lp::LpProblem p = balance_lp(
+      mdp.chain, gamma, linalg::Vector(n, 1.0 / static_cast<double>(n)),
+      per_pair(mdp.cost, na));
+  const double max_metric =
+      *std::max_element(mdp.metric.begin(), mdp.metric.end());
+  add_metric_rows(p, na,
+                  {{per_pair(mdp.metric, na), 0.8 * max_metric / (1.0 - gamma),
+                    "metric"}},
+                  1.0);
   return p;
 }
 
 std::vector<std::size_t> crash_for(const SyntheticMdp& mdp, double gamma,
                                    std::size_t num_rows) {
   const std::size_t na = mdp.chain.num_commands();
-  const std::vector<std::size_t> actions = greedy_crash_actions(
-      mdp.chain,
-      [&](std::size_t s, std::size_t a) { return mdp.cost[s * na + a]; },
-      gamma);
+  const std::vector<std::size_t> actions =
+      greedy_crash_actions(mdp.chain, per_pair(mdp.cost, na), gamma);
   return crash_columns_for_lp(actions, na, num_rows);
 }
 

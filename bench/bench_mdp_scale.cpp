@@ -10,19 +10,22 @@
 //   mix+eval under_policy_csr (fused rows, reused capacity) + power-
 //            accumulation occupancy (the PolicyEvaluation hot path:
 //            O(nnz * iters), no factorization)
-//   assembly balance-equation LP build straight off the CSR rows
+//   assembly balance-equation LP build straight off the CSR rows, by
+//            the production function dpm::balance_lp (which also names
+//            every variable and row, as PolicyOptimizer::build_lp does)
 //
 // Solves are not measured here: a no-crash cold solve is not the path
 // production takes, and bench_lp_scale's `nocrash` rows already record
 // it; perfbench's cold-expander measures the production 50k solve.
 //
 // `--smoke` (or DPMOPT_BENCH_SMOKE=1) shrinks sizes for `ctest -L bench`.
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <vector>
 
 #include "bench_util.h"
-#include "lp/problem.h"
+#include "dpm/optimizer.h"
 #include "markov/occupancy.h"
 #include "markov/sparse_chain.h"
 
@@ -53,45 +56,29 @@ markov::SparseControlledChain random_chain(std::size_t n, std::size_t na,
   return markov::SparseControlledChain(n, std::move(rows));
 }
 
-/// Balance-equation LP over the chain's CSR rows (the build_lp shape:
-/// one equality row per state, one capacity metric row).
+/// Balance-equation LP through the production assembly
+/// (dpm::balance_lp, what PolicyOptimizer::build_lp runs): one equality
+/// row per state, one capacity metric row.
 lp::LpProblem assemble_lp(const markov::SparseControlledChain& chain,
                           double gamma, std::uint64_t seed) {
   std::mt19937_64 gen(seed);
   std::uniform_real_distribution<double> u(0.0, 1.0);
   const std::size_t n = chain.num_states();
   const std::size_t na = chain.num_commands();
-  lp::LpProblem p;
-  lp::Constraint cap;
-  cap.sense = lp::Sense::kLe;
-  cap.terms.reserve(n * na);
-  double max_metric = 0.0;
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t a = 0; a < na; ++a) {
-      p.add_variable(5.0 * u(gen));
-      const double m = 3.0 * u(gen);
-      cap.terms.emplace_back(s * na + a, m);
-      max_metric = std::max(max_metric, m);
-    }
+  std::vector<double> cost(n * na), metric(n * na);
+  for (std::size_t col = 0; col < n * na; ++col) {
+    cost[col] = 5.0 * u(gen);
+    metric[col] = 3.0 * u(gen);
   }
-  std::vector<lp::Constraint> balance(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    balance[j].sense = lp::Sense::kEq;
-    balance[j].rhs = 1.0 / static_cast<double>(n);
-    balance[j].terms.reserve(na * 8);
-  }
-  for (std::size_t a = 0; a < na; ++a) {
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t col = s * na + a;
-      balance[s].terms.emplace_back(col, 1.0);
-      for (const auto& [j, w] : chain.row(a, s)) {
-        balance[j].terms.emplace_back(col, -gamma * w);
-      }
-    }
-  }
-  for (auto& c : balance) p.add_constraint(std::move(c));
-  cap.rhs = 0.8 * max_metric / (1.0 - gamma);
-  p.add_constraint(std::move(cap));
+  lp::LpProblem p = balance_lp(
+      chain, gamma, linalg::Vector(n, 1.0 / static_cast<double>(n)),
+      [&](std::size_t s, std::size_t a) { return cost[s * na + a]; });
+  const double max_metric = *std::max_element(metric.begin(), metric.end());
+  add_metric_rows(
+      p, na,
+      {{[&](std::size_t s, std::size_t a) { return metric[s * na + a]; },
+        0.8 * max_metric / (1.0 - gamma), ""}},
+      1.0);
   return p;
 }
 

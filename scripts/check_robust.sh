@@ -3,7 +3,7 @@
 #
 #   scripts/check_robust.sh
 #
-# Three checks:
+# Four checks:
 #   1. No process-killing exits on the solve path: `abort(` and
 #      `exit(` must not appear anywhere under src/lp/ or src/linalg/.
 #      Every failure there must surface as a structured LpStatus /
@@ -16,6 +16,12 @@
 #      both docs/robustness.md and the solver README's failure-
 #      semantics section — the escalation ladder is a documented
 #      contract, not an implementation detail.
+#   4. Every production solve is supervised: outside src/lp/ and
+#      src/robust/, no file under src/ calls lp::solve_revised_simplex(
+#      or lp::solve_simplex( directly.  Callers go through
+#      dpm::supervised_solve (src/dpm/optimizer.h) or
+#      robust::SolveSupervisor, so every solve gets the escalation
+#      ladder and an undetermined outcome is a typed failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,7 +72,18 @@ while IFS= read -r rung; do
   done
 done <<< "${rungs}"
 
+# --- 4. no unsupervised solve outside the solver layers --------------
+hits="$(grep -rnE --include='*.cpp' --include='*.h' \
+          '\blp::solve_(revised_)?simplex\(' src \
+          --exclude-dir=lp --exclude-dir=robust || true)"
+if [[ -n "${hits}" ]]; then
+  echo "check_robust: FAIL — unsupervised LP solve outside src/lp and src/robust:" >&2
+  echo "${hits}" | sed 's/^/  /' >&2
+  echo "  (solve through dpm::supervised_solve or robust::SolveSupervisor)" >&2
+  fail=1
+fi
+
 if [[ "${fail}" -ne 0 ]]; then
   exit 1
 fi
-echo "check_robust: OK (no abort/exit on the solve path, FaultSite and RecoveryRung documented)"
+echo "check_robust: OK (no abort/exit on the solve path, FaultSite and RecoveryRung documented, every production solve supervised)"

@@ -11,55 +11,22 @@ lp::LpProblem AverageCostOptimizer::build_lp(
   const std::size_t n = model_->num_states();
   const std::size_t na = model_->num_commands();
 
-  lp::LpProblem problem;
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t a = 0; a < na; ++a) {
-      problem.add_variable(objective(s, a),
-                           "x(" + std::to_string(s) + "," +
-                               std::to_string(a) + ")");
-    }
-  }
-
-  // Stationarity: outflow of j equals inflow of j.  (One of these rows
-  // is redundant given the normalization; the solvers tolerate it.)
-  for (std::size_t j = 0; j < n; ++j) {
-    lp::Constraint c;
-    c.sense = lp::Sense::kEq;
-    c.rhs = 0.0;
-    c.name = "stationarity(" + std::to_string(j) + ")";
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t a = 0; a < na; ++a) {
-        double coeff = -model_->chain().transition(s, j, a);
-        if (s == j) coeff += 1.0;
-        if (coeff != 0.0) c.terms.emplace_back(s * na + a, coeff);
-      }
-    }
-    problem.add_constraint(std::move(c));
-  }
+  // Stationarity: the balance block at gamma = 1 with rhs 0, outflow of
+  // j equals inflow of j.  (One of these rows is redundant given the
+  // normalization; the solvers tolerate it.)
+  lp::LpProblem problem =
+      balance_lp(model_->chain(), 1.0, linalg::Vector(n, 0.0), objective);
 
   // Normalization: x is a distribution.
-  {
-    lp::Constraint c;
-    c.sense = lp::Sense::kEq;
-    c.rhs = 1.0;
-    c.name = "normalization";
-    for (std::size_t k = 0; k < n * na; ++k) c.terms.emplace_back(k, 1.0);
-    problem.add_constraint(std::move(c));
-  }
+  lp::Constraint norm;
+  norm.sense = lp::Sense::kEq;
+  norm.rhs = 1.0;
+  norm.name = "normalization";
+  for (std::size_t k = 0; k < n * na; ++k) norm.terms.emplace_back(k, 1.0);
+  problem.add_constraint(std::move(norm));
 
-  for (const auto& oc : constraints) {
-    lp::Constraint c;
-    c.sense = lp::Sense::kLe;
-    c.rhs = oc.per_step_bound;  // already a per-step average
-    c.name = oc.name;
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t a = 0; a < na; ++a) {
-        const double m = oc.metric(s, a);
-        if (m != 0.0) c.terms.emplace_back(s * na + a, m);
-      }
-    }
-    problem.add_constraint(std::move(c));
-  }
+  // Bounds are already per-step averages: scale 1.
+  add_metric_rows(problem, na, constraints, 1.0);
   return problem;
 }
 
@@ -67,7 +34,8 @@ OptimizationResult AverageCostOptimizer::minimize(
     const StateActionMetric& objective,
     const std::vector<OptimizationConstraint>& constraints) const {
   const lp::LpProblem problem = build_lp(objective, constraints);
-  const lp::LpSolution lp_sol = lp::solve_revised_simplex(problem);
+  const lp::LpSolution lp_sol =
+      supervised_solve(problem, lp::Backend::kRevisedSimplex);
 
   OptimizationResult result;
   result.lp_status = lp_sol.status;
@@ -89,54 +57,37 @@ OptimizationResult AverageCostOptimizer::minimize(
   OptimizerConfig dummy;
   dummy.discount = 0.5;  // unused by extract_policy
   const PolicyOptimizer extractor(*model_, dummy);
-  Policy extracted = extractor.extract_policy(lp_sol.x);
-  {
-    const std::size_t n = model_->num_states();
-    const std::size_t na = model_->num_commands();
-    std::vector<bool> steered(n, false);
+  const std::size_t n = model_->num_states();
+  const std::size_t na = model_->num_commands();
+  std::vector<bool> steered(n, false);
+  for (std::size_t s = 0; s < n; ++s) {
+    double mass = 0.0;
+    for (std::size_t a = 0; a < na; ++a) mass += lp_sol.x[s * na + a];
+    steered[s] = mass > 1e-12;
+  }
+  linalg::Matrix decisions = extractor.extract_policy(lp_sol.x).matrix();
+  bool changed = true;
+  while (changed) {
+    changed = false;
     for (std::size_t s = 0; s < n; ++s) {
-      double mass = 0.0;
-      for (std::size_t a = 0; a < na; ++a) mass += lp_sol.x[s * na + a];
-      steered[s] = mass > 1e-12;
-    }
-    linalg::Matrix decisions = extracted.matrix();
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t s = 0; s < n; ++s) {
-        if (steered[s]) continue;
-        for (std::size_t a = 0; a < na; ++a) {
-          double into = 0.0;
-          for (std::size_t t = 0; t < n; ++t) {
-            if (steered[t]) into += model_->chain().transition(s, t, a);
-          }
-          if (into > 0.0) {
-            for (std::size_t b = 0; b < na; ++b) decisions(s, b) = 0.0;
-            decisions(s, a) = 1.0;
-            steered[s] = true;
-            changed = true;
-            break;
-          }
+      if (steered[s]) continue;
+      for (std::size_t a = 0; a < na; ++a) {
+        double into = 0.0;
+        for (const auto& [t, p] : model_->chain().row(a, s)) {
+          if (steered[t]) into += p;
+        }
+        if (into > 0.0) {
+          for (std::size_t b = 0; b < na; ++b) decisions(s, b) = 0.0;
+          decisions(s, a) = 1.0;
+          steered[s] = true;
+          changed = true;
+          break;
         }
       }
     }
-    extracted = Policy::randomized(std::move(decisions));
   }
-  result.policy = std::move(extracted);
-
-  const std::size_t n = model_->num_states();
-  const std::size_t na = model_->num_commands();
-  result.constraint_per_step.reserve(constraints.size());
-  for (const auto& oc : constraints) {
-    double total = 0.0;
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t a = 0; a < na; ++a) {
-        const double x = lp_sol.x[s * na + a];
-        if (x != 0.0) total += oc.metric(s, a) * x;
-      }
-    }
-    result.constraint_per_step.push_back(total);
-  }
+  result.policy = Policy::randomized(std::move(decisions));
+  result.constraint_per_step = metric_values(lp_sol.x, na, constraints, 1.0);
   return result;
 }
 

@@ -11,6 +11,9 @@
 //        sum metric_k(s,a) x_{s,a} <= bound_k
 //        x >= 0
 //
+// The stationarity rows are dpm::balance_lp at gamma = 1 with rhs 0,
+// and the solve is dpm::supervised_solve, as in PolicyOptimizer.
+//
 // This optimizer complements PolicyOptimizer: it has no horizon
 // parameter and no end-of-session effects (see EXPERIMENTS.md on
 // Fig. 14a), and its optimum is the gamma -> 1 limit of the discounted
@@ -28,7 +31,8 @@ class AverageCostOptimizer {
   /// Minimizes the long-run average of `objective` under per-step
   /// constraints.  Fields of OptimizationResult are per-step averages;
   /// `frequencies` holds the stationary state-action distribution
-  /// (sums to 1).
+  /// (sums to 1).  An outcome the supervisor cannot determine throws
+  /// lp::LpError rather than reading as infeasible.
   OptimizationResult minimize(
       const StateActionMetric& objective,
       const std::vector<OptimizationConstraint>& constraints = {}) const;

@@ -18,18 +18,13 @@ namespace {
 /// trajectories (golden tier).
 constexpr std::size_t kCrashMinColumns = 4096;
 
-/// One supervised solve (robust/supervisor.h): the escalation ladder
-/// turns transient numerical trouble into a determination.  The rare
-/// undetermined outcome (unhealed numerical failure, expired deadline)
-/// surfaces as LpError so the layer above — the scenario runner —
-/// converts it into a structured unit failure instead of this code
-/// silently treating a broken solve as "infeasible".
+}  // namespace
+
 lp::LpSolution supervised_solve(const lp::LpProblem& problem,
                                 lp::Backend backend,
-                                const lp::SimplexBasis* warm = nullptr,
-                                lp::SimplexBasis* basis_out = nullptr,
-                                const std::vector<std::size_t>* crash =
-                                    nullptr) {
+                                const lp::SimplexBasis* warm,
+                                lp::SimplexBasis* basis_out,
+                                const std::vector<std::size_t>* crash) {
   robust::SupervisorOptions opts;
   opts.backend = backend;
   // Crash seed (revised simplex only; the tableau ignores it).  The
@@ -51,7 +46,92 @@ lp::LpSolution supervised_solve(const lp::LpProblem& problem,
   return std::move(outcome.solution);
 }
 
-}  // namespace
+lp::LpProblem balance_lp(const markov::SparseControlledChain& chain,
+                         double gamma, const linalg::Vector& rhs,
+                         const StateActionMetric& cost) {
+  const std::size_t n = chain.num_states();
+  const std::size_t na = chain.num_commands();
+
+  lp::LpProblem problem;
+  // One variable per (state, command) pair, column index s*na + a.
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t a = 0; a < na; ++a) {
+      problem.add_variable(cost(s, a), "x(" + std::to_string(s) + "," +
+                                           std::to_string(a) + ")");
+    }
+  }
+
+  // Balance equations (the "incoming flow = outgoing flow" constraints
+  // of LP2, Fig. 11).  Each (s, a) pair contributes its outgoing-flow
+  // term plus one term per stored successor, so assembly is O(nnz),
+  // independent of n^2.  The self-loop's -gamma * p is added to the
+  // outgoing 1.0 here rather than in add_constraint's merge (the same
+  // sum), so the exact zero of an absorbing state at gamma = 1 is never
+  // stored.
+  std::vector<lp::Constraint> balance(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    balance[j].sense = lp::Sense::kEq;
+    balance[j].rhs = rhs[j];
+    balance[j].name = "balance(" + std::to_string(j) + ")";
+    balance[j].terms.reserve(na + 8);
+  }
+  for (std::size_t a = 0; a < na; ++a) {
+    for (std::size_t s = 0; s < n; ++s) {
+      const std::size_t col = s * na + a;
+      double outgoing = 1.0;
+      for (const auto& [j, p] : chain.row(a, s)) {
+        if (j == s) {
+          outgoing += -gamma * p;
+        } else {
+          balance[j].terms.emplace_back(col, -gamma * p);
+        }
+      }
+      if (outgoing != 0.0) balance[s].terms.emplace_back(col, outgoing);
+    }
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    problem.add_constraint(std::move(balance[j]));
+  }
+  return problem;
+}
+
+void add_metric_rows(lp::LpProblem& problem, std::size_t num_commands,
+                     const std::vector<OptimizationConstraint>& constraints,
+                     double scale) {
+  const std::size_t n = problem.num_variables() / num_commands;
+  for (const auto& oc : constraints) {
+    lp::Constraint c;
+    c.sense = lp::Sense::kLe;
+    c.rhs = oc.per_step_bound * scale;
+    c.name = oc.name;
+    c.terms.reserve(n * num_commands);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t a = 0; a < num_commands; ++a) {
+        const double m = oc.metric(s, a);
+        if (m != 0.0) c.terms.emplace_back(s * num_commands + a, m);
+      }
+    }
+    problem.add_constraint(std::move(c));
+  }
+}
+
+std::vector<double> metric_values(
+    const linalg::Vector& x, std::size_t num_commands,
+    const std::vector<OptimizationConstraint>& constraints, double scale) {
+  std::vector<double> values;
+  values.reserve(constraints.size());
+  for (const auto& oc : constraints) {
+    double total = 0.0;
+    for (std::size_t col = 0; col < x.size(); ++col) {
+      const double v = x[col];
+      if (v != 0.0) {
+        total += oc.metric(col / num_commands, col % num_commands) * v;
+      }
+    }
+    values.push_back(scale * total);
+  }
+  return values;
+}
 
 PolicyOptimizer::PolicyOptimizer(const SystemModel& model,
                                  OptimizerConfig config)
@@ -80,64 +160,12 @@ PolicyOptimizer::PolicyOptimizer(const SystemModel& model,
 lp::LpProblem PolicyOptimizer::build_lp(
     const StateActionMetric& objective,
     const std::vector<OptimizationConstraint>& constraints) const {
-  const std::size_t n = model_->num_states();
-  const std::size_t na = model_->num_commands();
-  const double gamma = config_.discount;
-  const double horizon = 1.0 / (1.0 - gamma);
-
-  lp::LpProblem problem;
-  // One variable per (state, command) pair, column index s*na + a.
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t a = 0; a < na; ++a) {
-      problem.add_variable(objective(s, a),
-                           "x(" + std::to_string(s) + "," +
-                               std::to_string(a) + ")");
-    }
-  }
-
-  // Balance equations (the "incoming flow = outgoing flow" constraints
-  // of LP2, Fig. 11): for every state j,
-  //   sum_a x_{j,a} - gamma * sum_{s,a} P_a(s,j) x_{s,a} = p0_j.
-  // Assembled straight off the chain's CSR rows: each (s, a) pair
-  // contributes its outgoing-flow term plus one term per stored
-  // successor, so assembly is O(nnz), independent of n^2.
-  const markov::SparseControlledChain& chain = model_->chain();
-  std::vector<lp::Constraint> balance(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    balance[j].sense = lp::Sense::kEq;
-    balance[j].rhs = config_.initial_distribution[j];
-    balance[j].name = "balance(" + std::to_string(j) + ")";
-    balance[j].terms.reserve(na + 8);
-  }
-  for (std::size_t a = 0; a < na; ++a) {
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t col = s * na + a;
-      balance[s].terms.emplace_back(col, 1.0);  // outgoing flow
-      for (const auto& [j, p] : chain.row(a, s)) {
-        balance[j].terms.emplace_back(col, -gamma * p);
-      }
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    problem.add_constraint(std::move(balance[j]));
-  }
-
-  // Metric constraints, scaled from per-step averages to discounted
-  // totals.
-  for (const auto& oc : constraints) {
-    lp::Constraint c;
-    c.sense = lp::Sense::kLe;
-    c.rhs = oc.per_step_bound * horizon;
-    c.name = oc.name;
-    c.terms.reserve(n * na);
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t a = 0; a < na; ++a) {
-        const double m = oc.metric(s, a);
-        if (m != 0.0) c.terms.emplace_back(s * na + a, m);
-      }
-    }
-    problem.add_constraint(std::move(c));
-  }
+  // Metric constraints are scaled from per-step averages to discounted
+  // totals by the horizon 1/(1-gamma).
+  lp::LpProblem problem = balance_lp(model_->chain(), config_.discount,
+                                     config_.initial_distribution, objective);
+  add_metric_rows(problem, model_->num_commands(), constraints,
+                  1.0 / (1.0 - config_.discount));
   return problem;
 }
 
@@ -190,19 +218,8 @@ std::vector<std::size_t> PolicyOptimizer::crash_seed(
 std::vector<double> PolicyOptimizer::achieved_per_step(
     const linalg::Vector& x,
     const std::vector<OptimizationConstraint>& constraints) const {
-  const std::size_t na = model_->num_commands();
-  const double one_minus_gamma = 1.0 - config_.discount;
-  std::vector<double> achieved;
-  achieved.reserve(constraints.size());
-  for (const auto& oc : constraints) {
-    double total = 0.0;
-    for (std::size_t col = 0; col < x.size(); ++col) {
-      const double v = x[col];
-      if (v != 0.0) total += oc.metric(col / na, col % na) * v;
-    }
-    achieved.push_back(one_minus_gamma * total);
-  }
-  return achieved;
+  return metric_values(x, model_->num_commands(), constraints,
+                       1.0 - config_.discount);
 }
 
 OptimizationResult PolicyOptimizer::minimize(
@@ -261,30 +278,10 @@ std::vector<PolicyOptimizer::ParetoPoint> PolicyOptimizer::sweep(
   std::vector<ParetoPoint> curve;
   curve.reserve(sweep_bounds.size());
 
-  if (config_.backend != lp::Backend::kRevisedSimplex) {
-    // The tableau has no warm-start contract: cold-solve every point.
-    for (const double bound : sweep_bounds) {
-      std::vector<OptimizationConstraint> constraints = fixed_constraints;
-      constraints.push_back({swept, bound, swept_name});
-      OptimizationResult r = minimize(objective, constraints);
-      ParetoPoint pt;
-      pt.bound = bound;
-      pt.feasible = r.feasible;
-      pt.lp_iterations = r.lp_iterations;
-      if (r.feasible) {
-        pt.objective = r.objective_per_step;
-        pt.policy = std::move(r.policy);
-        pt.constraint_per_step = std::move(r.constraint_per_step);
-        pt.frequencies = std::move(r.frequencies);
-      }
-      curve.push_back(std::move(pt));
-    }
-    return curve;
-  }
-
-  // Warm-started path: the LP matrix is identical across the sweep (the
-  // swept constraint is the last row; only its rhs moves), so each point
-  // restarts the revised simplex from the previous optimal basis.
+  // The LP matrix is identical across the sweep (the swept constraint is
+  // the last row; only its rhs moves), so the revised simplex restarts
+  // each point from the previous optimal basis.  The tableau leaves no
+  // basis, so under it every point is a cold solve of the same LP.
   std::vector<OptimizationConstraint> constraints = fixed_constraints;
   constraints.push_back(
       {swept, sweep_bounds.empty() ? 0.0 : sweep_bounds.front(), swept_name});
@@ -299,7 +296,7 @@ std::vector<PolicyOptimizer::ParetoPoint> PolicyOptimizer::sweep(
     lp.set_rhs(swept_row, bound * horizon);
     lp::SimplexBasis next;
     const lp::LpSolution s =
-        supervised_solve(lp, lp::Backend::kRevisedSimplex,
+        supervised_solve(lp, config_.backend,
                          basis.empty() ? nullptr : &basis, &next);
     ParetoPoint pt;
     pt.bound = bound;

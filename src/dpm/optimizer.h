@@ -14,6 +14,11 @@
 // Bounds are specified as *per-slice averages* (Watts, queue lengths,
 // loss probabilities) and scaled internally by the expected session
 // length 1/(1-gamma), so callers work in the paper's plotted units.
+//
+// The balance block is the occupation-measure LP of Puterman (1994) and
+// Altman (1999): at gamma < 1 with rhs p0 it is LP2, at gamma = 1 with
+// rhs 0 (plus a normalization row) the average-cost LP of Eq. 7.  Both
+// optimizers, and the scaling benches, assemble it with balance_lp().
 #pragma once
 
 #include <optional>
@@ -32,6 +37,43 @@ struct OptimizationConstraint {
   double per_step_bound = 0.0;
   std::string name;
 };
+
+/// The occupation-measure LP's columns and balance rows: one variable
+/// x_{s,a} = column s*A + a with cost `cost(s,a)`, and for every state j
+///   sum_a x_{j,a} - gamma * sum_{s,a} P_a(s,j) x_{s,a} = rhs_j,
+/// assembled straight off the chain's CSR rows in O(nnz).  A diagonal
+/// coefficient 1 - gamma*P_a(s,s) that is exactly zero (an absorbing
+/// state at gamma = 1) is not stored.
+lp::LpProblem balance_lp(const markov::SparseControlledChain& chain,
+                         double gamma, const linalg::Vector& rhs,
+                         const StateActionMetric& cost);
+
+/// Appends one row per constraint,
+///   sum_{s,a} metric(s,a) x_{s,a} <= per_step_bound * scale,
+/// storing only nonzero metric values.  `scale` is the horizon
+/// 1/(1-gamma) for LP2 and 1 for the average-cost LP.
+void add_metric_rows(lp::LpProblem& problem, std::size_t num_commands,
+                     const std::vector<OptimizationConstraint>& constraints,
+                     double scale);
+
+/// scale * sum_{s,a} metric(s,a) x_{s,a} for each constraint, in order:
+/// the achieved per-step value of each add_metric_rows() row at x.
+std::vector<double> metric_values(
+    const linalg::Vector& x, std::size_t num_commands,
+    const std::vector<OptimizationConstraint>& constraints, double scale);
+
+/// One solve under robust::SolveSupervisor, the single solve path of
+/// both optimizers: the escalation ladder turns transient numerical
+/// trouble into a determination.  The rare undetermined outcome
+/// (unhealed numerical failure, expired deadline) throws lp::LpError,
+/// so the layer above (the scenario runner) records a structured unit
+/// failure instead of this code treating a broken solve as infeasible.
+/// `crash` seeds a cold revised-simplex solve (the tableau ignores it).
+lp::LpSolution supervised_solve(
+    const lp::LpProblem& problem, lp::Backend backend,
+    const lp::SimplexBasis* warm = nullptr,
+    lp::SimplexBasis* basis_out = nullptr,
+    const std::vector<std::size_t>* crash = nullptr);
 
 struct OptimizerConfig {
   /// Discount factor gamma in (0,1); expected session length is
@@ -106,14 +148,15 @@ class PolicyOptimizer {
   /// `fixed_constraints`, minimizing `objective` at each point — the
   /// paper's tradeoff-curve exploration (Figs. 6, 8b, 9a, 9b).
   ///
-  /// With the revised-simplex backend the LP is built once and each
-  /// point after the first warm-starts from the previous optimal basis
-  /// (only the swept constraint's rhs changes), so subsequent points
+  /// The LP is built once (only the swept constraint's rhs changes).
+  /// With the revised-simplex backend each point after the first
+  /// warm-starts from the previous optimal basis, so subsequent points
   /// cost a handful of boxed-dual-simplex pivots instead of a cold
-  /// solve.  The warm-start contract also survives variable-bound
-  /// changes (`LpProblem::set_upper_bound` between solves), so sweeps
-  /// over bounded formulations stay warm too — see the warm-start
-  /// section of src/lp/README.md.
+  /// solve; the tableau cold-solves every point.  The warm-start
+  /// contract also survives variable-bound changes
+  /// (`LpProblem::set_upper_bound` between solves), so sweeps over
+  /// bounded formulations stay warm too — see the warm-start section of
+  /// src/lp/README.md.
   std::vector<ParetoPoint> sweep(
       const StateActionMetric& objective, const StateActionMetric& swept,
       std::string swept_name, const std::vector<double>& sweep_bounds,

@@ -9,9 +9,10 @@
 //    a typed SolveFailure — never an escaping exception — and recovered
 //    solves match the fault-free objective, vertex, and iteration count
 //    exactly (the kRetryRefactorize rung replays the identical pivot
-//    trajectory once the single-shot fault is consumed); a fault on
-//    every LU factorization ends on the tableau rung with the
-//    tableau's exact answer;
+//    trajectory once the single-shot fault is consumed), the average-
+//    cost optimizer's solves included; a fault on every LU
+//    factorization ends on the tableau rung with the tableau's exact
+//    answer;
 //  * the scenario result cache's crash-safe flush: atomic rename leaves
 //    no temp file, a stale temp file from a simulated crash is ignored,
 //    and a poisoned line (kCacheLine injection) is dropped on load and
@@ -36,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "cases/example_system.h"
+#include "dpm/average_optimizer.h"
 #include "lp/solver.h"
 #include "robust/fault_injection.h"
 #include "robust/outcome.h"
@@ -255,6 +258,31 @@ TEST(SupervisorFaultMatrix, SimplexSitesRecoverBitwise) {
         EXPECT_EQ(out.steps[1].rung, RecoveryRung::kRetryRefactorize);
       }
     }
+  }
+}
+
+// The average-cost optimizer (paper Eq. 7) solves through the same
+// supervisor as PolicyOptimizer: a single-shot LU fault is healed by the
+// kRetryRefactorize rung, so the answer matches a clean run bit for bit
+// instead of reading as infeasible.
+TEST(SupervisorFaultMatrix, AverageCostLuFaultRecoversBitwise) {
+  const SystemModel model = cases::ExampleSystem::make_model();
+  const AverageCostOptimizer optimizer(model);
+  const OptimizationResult clean = optimizer.minimize_power(0.45, 0.25);
+  ASSERT_TRUE(clean.feasible);
+
+  FaultPlan plan;
+  plan.site = FaultSite::kLuFactorize;
+  plan.fire_at = 1;
+  FaultScope scope(plan);
+  const OptimizationResult out = optimizer.minimize_power(0.45, 0.25);
+  ASSERT_EQ(scope.fired(), 1u);
+  ASSERT_TRUE(out.feasible);
+  EXPECT_EQ(out.objective_per_step, clean.objective_per_step);
+  EXPECT_EQ(out.lp_iterations, clean.lp_iterations);
+  ASSERT_EQ(out.frequencies.size(), clean.frequencies.size());
+  for (std::size_t j = 0; j < out.frequencies.size(); ++j) {
+    EXPECT_EQ(out.frequencies[j], clean.frequencies[j]) << "x[" << j << "]";
   }
 }
 

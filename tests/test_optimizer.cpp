@@ -6,6 +6,7 @@
 #include <cmath>
 #include <random>
 
+#include "cases/disk_drive.h"
 #include "cases/example_system.h"
 #include "cases/heuristics.h"
 #include "dpm/evaluation.h"
@@ -264,6 +265,40 @@ TEST(Optimizer, TableauBackendAgrees) {
   ASSERT_TRUE(r1.feasible);
   ASSERT_TRUE(r2.feasible);
   EXPECT_NEAR(r1.objective_per_step, r2.objective_per_step, 1e-9);
+}
+
+// sweep() runs one loop for both backends.  The tableau leaves no basis
+// to warm-start from, so each of its points is a cold solve of the same
+// LP that minimize() builds, and must match it bit for bit.
+TEST(Optimizer, TableauSweepMatchesPerPointMinimize) {
+  const SystemModel m = cases::DiskDrive::make_model();
+  OptimizerConfig cfg = cases::DiskDrive::make_config(m, 0.999);
+  cfg.backend = lp::Backend::kSimplex;
+  const PolicyOptimizer opt(m, cfg);
+  const std::vector<double> bounds{0.0001, 0.2, 0.4, 0.8, 1.5};
+  const std::vector<OptimizationConstraint> fixed{
+      {metrics::request_loss(m), 0.05, "loss"}};
+  const auto curve = opt.sweep(metrics::power(m), metrics::queue_length(m),
+                               "queue", bounds, fixed);
+  ASSERT_EQ(curve.size(), bounds.size());
+  std::size_t feasible = 0;
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    std::vector<OptimizationConstraint> constraints = fixed;
+    constraints.push_back({metrics::queue_length(m), bounds[i], "queue"});
+    const OptimizationResult r = opt.minimize(metrics::power(m), constraints);
+    ASSERT_EQ(curve[i].feasible, r.feasible) << "bound " << bounds[i];
+    EXPECT_EQ(curve[i].lp_iterations, r.lp_iterations) << "bound " << bounds[i];
+    EXPECT_EQ(curve[i].constraint_per_step, r.constraint_per_step)
+        << "bound " << bounds[i];
+    EXPECT_EQ(curve[i].frequencies, r.frequencies) << "bound " << bounds[i];
+    if (r.feasible) {
+      ++feasible;
+      EXPECT_EQ(curve[i].objective, r.objective_per_step)
+          << "bound " << bounds[i];
+    }
+  }
+  EXPECT_FALSE(curve.front().feasible);
+  EXPECT_GE(feasible, 3u);
 }
 
 // An 856-column fleet LP that the revised simplex's plain rung cannot

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "cases/example_system.h"
+#include "dpm/average_optimizer.h"
 #include "dpm/evaluation.h"
 #include "dpm/optimizer.h"
 #include "markov/occupancy.h"
@@ -189,39 +190,91 @@ TEST(SparseChain, BuildLpMatchesDenseReferenceFormulation) {
   const OptimizerConfig config =
       cases::ExampleSystem::make_config(model, 0.999);
   const PolicyOptimizer opt(model, config);
+  const AverageCostOptimizer avg(model);
   const StateActionMetric power = metrics::power(model);
   const StateActionMetric queue = metrics::queue_length(model);
   std::vector<OptimizationConstraint> constraints{{queue, 0.5, "queue"}};
-  const lp::LpProblem lp = opt.build_lp(power, constraints);
 
   const std::size_t n = model.num_states();
   const std::size_t na = model.num_commands();
-  const double gamma = config.discount;
-  ASSERT_EQ(lp.num_variables(), n * na);
-  ASSERT_EQ(lp.num_constraints(), n + 1);
-
-  // Dense reference: balance coefficient of x_{s,a} in row j is
-  // [s == j] - gamma * P_a(s, j), assembled from the densified chain.
   std::vector<linalg::Matrix> dense;
   for (std::size_t a = 0; a < na; ++a) {
     dense.push_back(model.chain().to_dense(a));
   }
-  for (std::size_t j = 0; j < n; ++j) {
+  // Dense row of `c` (absent terms read 0); every stored term must be
+  // nonzero, so a zero coefficient never reaches the solver.
+  const auto dense_row = [&](const lp::Constraint& c) {
     linalg::Vector row(n * na, 0.0);
-    for (const auto& [col, v] : lp.constraints()[j].terms) row[col] = v;
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t a = 0; a < na; ++a) {
-        const double want = (s == j ? 1.0 : 0.0) -
-                            gamma * dense[a](s, j);
-        EXPECT_NEAR(row[s * na + a], want, 1e-12)
-            << "row " << j << " col (" << s << "," << a << ")";
+    for (const auto& [col, v] : c.terms) {
+      EXPECT_NE(v, 0.0) << c.name << " col " << col;
+      row[col] = v;
+    }
+    return row;
+  };
+  // Dense reference: balance coefficient of x_{s,a} in row j is
+  // [s == j] - gamma * P_a(s, j), assembled from the densified chain.
+  // The assembly forms the same 1.0 + (-gamma * p) and -gamma * p, so
+  // the comparison is exact.
+  const auto expect_balance = [&](const lp::LpProblem& lp, double gamma,
+                                  const linalg::Vector& rhs) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const lp::Constraint& c = lp.constraints()[j];
+      EXPECT_EQ(c.sense, lp::Sense::kEq);
+      EXPECT_EQ(c.rhs, rhs[j]);
+      const linalg::Vector row = dense_row(c);
+      for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t a = 0; a < na; ++a) {
+          const double want = (s == j ? 1.0 : 0.0) - gamma * dense[a](s, j);
+          EXPECT_EQ(row[s * na + a], want)
+              << "gamma " << gamma << " row " << j << " col (" << s << ","
+              << a << ")";
+        }
       }
     }
-  }
-  // Metric row: queue_length per (s, a), scaled bound.
-  const lp::Constraint& metric_row = lp.constraints()[n];
-  EXPECT_EQ(metric_row.sense, lp::Sense::kLe);
-  EXPECT_NEAR(metric_row.rhs, 0.5 / (1.0 - gamma), 1e-6);
+  };
+  // Metric row: queue_length per (s, a), bound times `scale`.
+  const auto expect_metric_row = [&](const lp::Constraint& c, double scale) {
+    EXPECT_EQ(c.sense, lp::Sense::kLe);
+    EXPECT_EQ(c.rhs, 0.5 * scale);
+    const linalg::Vector row = dense_row(c);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t a = 0; a < na; ++a) {
+        EXPECT_EQ(row[s * na + a], queue(s, a));
+      }
+    }
+  };
+
+  // Discounted LP2: rhs p0, metric row scaled by the horizon.
+  const lp::LpProblem lp = opt.build_lp(power, constraints);
+  ASSERT_EQ(lp.num_variables(), n * na);
+  ASSERT_EQ(lp.num_constraints(), n + 1);
+  expect_balance(lp, config.discount, config.initial_distribution);
+  expect_metric_row(lp.constraints()[n], 1.0 / (1.0 - config.discount));
+
+  // Average-cost LP (Eq. 7): gamma = 1 and rhs 0, then the normalization
+  // row and an unscaled metric row.
+  const lp::LpProblem avg_lp = avg.build_lp(power, constraints);
+  ASSERT_EQ(avg_lp.num_variables(), n * na);
+  ASSERT_EQ(avg_lp.num_constraints(), n + 2);
+  expect_balance(avg_lp, 1.0, linalg::Vector(n, 0.0));
+  const lp::Constraint& norm = avg_lp.constraints()[n];
+  EXPECT_EQ(norm.sense, lp::Sense::kEq);
+  EXPECT_EQ(norm.rhs, 1.0);
+  EXPECT_EQ(dense_row(norm), linalg::Vector(n * na, 1.0));
+  expect_metric_row(avg_lp.constraints()[n + 1], 1.0);
+
+  // At gamma = 1 an absorbing state's diagonal coefficient 1 - P_a(s,s)
+  // is exactly zero and is not stored: state 0 moves to the absorbing
+  // state 1, so row 1 holds only x(0,0)'s inflow.
+  const SparseControlledChain absorbing(
+      2, {{TransitionRow{{1, 1.0}}, TransitionRow{{1, 1.0}}}});
+  const lp::LpProblem abs_lp =
+      balance_lp(absorbing, 1.0, {0.0, 0.0},
+                 [](std::size_t, std::size_t) { return 1.0; });
+  ASSERT_EQ(abs_lp.num_constraints(), 2u);
+  ASSERT_EQ(abs_lp.constraints()[1].terms.size(), 1u);
+  EXPECT_EQ(abs_lp.constraints()[1].terms[0].first, 0u);
+  EXPECT_EQ(abs_lp.constraints()[1].terms[0].second, -1.0);
 }
 
 // End-to-end: the optimizer (sparse assembly + bounded simplex) still
